@@ -100,6 +100,9 @@ def cmd_gamma(args) -> int:
 def cmd_check(args) -> int:
     g = _load_graph(args.file)
     members = [int(x) for x in args.set.split(",")] if args.set else []
+    repeated = sorted({v for v in members if members.count(v) > 1})
+    if repeated:
+        raise ValueError(f"--set lists vertex {repeated[0]} more than once")
     witnesses = solver.super_domination_witnesses(g, members)
     if witnesses is None:
         violation = solver.first_violation(g, members)
@@ -253,6 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.guard_n < 1:
+        parser.error(f"argument --guard-n: must be at least 1, got {args.guard_n}")
     try:
         return args.func(args)
     except SizeGuardError as exc:

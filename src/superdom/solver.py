@@ -12,6 +12,16 @@ valid complement is optimal.  Connected components are solved separately
 and their certificates merged, which is value-exact (validity of a
 complement is a per-component property) and keeps the exponent small.
 
+The minimum dominating set search tries sizes k = 1, 2, ... in turn,
+depth first over ascending vertex choices.  It cuts a prefix in two
+cases: some undominated vertex lies outside the union of the closed
+neighbourhoods of the vertices still available, or the undominated count
+exceeds the number of picks left times the largest closed neighbourhood.
+Either way no completion dominates, so the cuts drop only subtrees
+without a solution and the search still meets the k-subsets in
+lexicographic order: the first dominating set found is the
+lexicographically smallest one.
+
 Tie-breaking is deterministic everywhere: among maximum-size valid
 complements the lexicographically smallest wins (vertices compared as
 integers), and each outside vertex records its smallest witness.  Because
@@ -22,7 +32,6 @@ minimum.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple, Union
 
@@ -127,13 +136,15 @@ def first_violation(g: Graph, s: SetLike) -> Optional[str]:
 
 
 def _prefix_feasible(adj: Tuple[int, ...], prefix: int) -> bool:
-    """Necessary condition for a partial complement to extend to a valid one.
+    """True iff ``prefix`` is itself a valid complement.
 
     Every u in the prefix needs some neighbour v outside it whose other
-    prefix neighbours are empty: N(v) & prefix <= {u}.  Growing the
-    complement only shrinks each u's witness pool, so a failure here kills
-    the whole subtree.  On a full-size complement the condition is exact
-    (v adjacent to u forces u into N(v), turning <= into ==).
+    prefix neighbours are empty: N(v) & prefix <= {u}, which is == since v
+    is adjacent to u.  That is exactly the witness condition for the set
+    V minus ``prefix``.  Valid complements are hereditary (dropping a
+    vertex from one only widens the others' witness pools), so a failure
+    here also rules out every complement containing the prefix and kills
+    the whole subtree.
     """
     rest = prefix
     while rest:
@@ -207,20 +218,41 @@ def gamma_sp(g: Graph, guard: int = DEFAULT_GUARD) -> SuperDomCertificate:
             comp_mask |= 1 << comp[b.bit_length() - 1]
     s = VertexSet.from_mask(g.n, comp_mask ^ ((1 << g.n) - 1))
     witnesses = super_domination_witnesses(g, s)
-    assert witnesses is not None, "search returned an invalid complement"
+    if witnesses is None:
+        raise RuntimeError("super domination search returned an invalid complement")
     return SuperDomCertificate(s, witnesses, len(s))
 
 
 def _min_dominating(adj: Tuple[int, ...], n: int) -> Tuple[int, ...]:
+    """Lexicographically smallest minimum dominating set, as ascending vertices.
+
+    Depth-first over ascending vertex choices, one level per size k, so the
+    first dominating set found is the one a lexicographic scan of the
+    k-subsets returns.  The cuts are described in the module docstring.
+    """
     full = (1 << n) - 1
     closed = [adj[v] | (1 << v) for v in range(n)]
+    reach = [0] * (n + 1)  # reach[i]: union of N[v] over v >= i
+    for v in range(n - 1, -1, -1):
+        reach[v] = reach[v + 1] | closed[v]
+    width = max(c.bit_count() for c in closed)  # most vertices one pick dominates
+
+    def extend(start: int, left: int, cover: int) -> Optional[Tuple[int, ...]]:
+        missing = full ^ cover
+        if missing & ~reach[start] or missing.bit_count() > left * width:
+            return None
+        if not left:
+            return ()
+        for v in range(start, n - left + 1):
+            found = extend(v + 1, left - 1, cover | closed[v])
+            if found is not None:
+                return (v,) + found
+        return None
+
     for k in range(1, n + 1):
-        for combo in itertools.combinations(range(n), k):
-            cover = 0
-            for v in combo:
-                cover |= closed[v]
-            if cover == full:
-                return combo
+        found = extend(0, k, 0)
+        if found is not None:
+            return found
     raise AssertionError("unreachable: the full vertex set dominates")
 
 

@@ -44,12 +44,18 @@ def plain_min_super_dom(g: Graph) -> int:
     return g.n
 
 
-def plain_min_dom(g: Graph) -> int:
-    for k in range(g.n + 1):
+def plain_lexmin_dom(g: Graph):
+    """The solver's tie-break target for gamma: the lexicographically
+    smallest minimum dominating set, scanned the slow way."""
+    for k in range(1, g.n + 1):
         for combo in combinations(range(g.n), k):
             if plain_is_dominating(g, combo):
-                return k
+                return list(combo)
     raise AssertionError("V dominates itself")
+
+
+def plain_min_dom(g: Graph) -> int:
+    return len(plain_lexmin_dom(g))
 
 
 def plain_lexmin_max_complement(g: Graph):

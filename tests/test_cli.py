@@ -106,6 +106,13 @@ class TestGammaSp:
     def test_missing_file_exit(self):
         assert main(["gamma-sp", "/nonexistent/g.el"]) == 2
 
+    @pytest.mark.parametrize("guard", ["0", "-1"])
+    def test_guard_below_one_is_usage_error(self, p5, guard, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--guard-n", guard, "gamma-sp", p5])
+        assert exc.value.code == 2
+        assert "--guard-n: must be at least 1" in capsys.readouterr().err
+
     def test_text_format(self, p5, capsys):
         assert main(["--format", "text", "gamma-sp", p5]) == 0
         assert "gamma_sp = 3" in capsys.readouterr().out
@@ -138,6 +145,11 @@ class TestCheck:
 
     def test_bad_indices(self, c4, capsys):
         assert main(["check", c4, "--set", "0,9"]) == 2
+        assert main(["check", c4, "--set=-1,2"]) == 2
+
+    def test_duplicate_index(self, c4, capsys):
+        assert main(["check", c4, "--set", "0,0,2"]) == 2
+        assert "--set lists vertex 0 more than once" in capsys.readouterr().err
 
 
 class TestOp:

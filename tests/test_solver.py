@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +28,10 @@ from superdom import (
     star_graph,
     super_domination_witnesses,
 )
+from superdom import solver
 from superdom.solver import first_violation
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestIsDominating:
@@ -97,6 +104,20 @@ class TestGamma:
         cert = gamma(g)
         assert is_dominating(g, cert.vertices)
         assert cert.value == brute.plain_min_dom(g)
+        assert list(cert.vertices) == brute.plain_lexmin_dom(g)
+
+    @pytest.mark.parametrize("p", [Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)])
+    def test_lexicographic_tie_break_on_gnp(self, p):
+        for n in range(1, 15):
+            for seed in range(3):
+                g = gnp_random_graph(n, p, seed)
+                assert list(gamma(g).vertices) == brute.plain_lexmin_dom(g), (n, seed)
+
+    def test_paths_and_cycles_closed_form(self):
+        for n in range(3, 61):
+            expected = -(-n // 3)
+            assert gamma(path_graph(n), guard=64).value == expected, n
+            assert gamma(cycle_graph(n), guard=64).value == expected, n
 
 
 class TestGammaSp:
@@ -162,6 +183,25 @@ class TestGammaSp:
         combined = disjoint_union(g1, g2).graph
         assert gamma_sp(combined).value == gamma_sp(g1).value + gamma_sp(g2).value
         assert gamma_sp(combined).value == gamma_sp_bruteforce(combined)
+
+    def test_invalid_search_result_raises(self, monkeypatch):
+        monkeypatch.setattr(solver, "_best_complement", lambda adj, n: (1 << n) - 1)
+        with pytest.raises(RuntimeError, match="invalid complement"):
+            gamma_sp(path_graph(3))
+
+    def test_invalid_search_result_raises_without_asserts(self):
+        script = (
+            "from superdom import path_graph, solver\n"
+            "solver._best_complement = lambda adj, n: (1 << n) - 1\n"
+            "print(solver.gamma_sp(path_graph(3)))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "RuntimeError: super domination search returned an invalid complement" in proc.stderr
 
     @given(graphs())
     @settings(deadline=None)
