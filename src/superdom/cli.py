@@ -126,60 +126,46 @@ def _parse_attach(spec: str, fields: int) -> List:
     return [parts[0]] + [int(x) for x in parts[1:]]
 
 
-def cmd_op(args) -> int:
-    name = args.operation
+OP_OPERANDS = {
+    "odot": "file v",
+    "contract": "file v",
+    "union": "file file",
+    "chain": "file:x:y ...",
+    "bouquet": "file:x ...",
+}
+
+
+def _compose(name: str, operands: List[str]) -> ops.CompositionResult:
+    if not OP_OPERANDS[name].endswith("...") and len(operands) != 2:
+        raise ValueError(f"{name} takes: {OP_OPERANDS[name]}; got {len(operands)} operands")
     if name == "odot":
-        g = _load_graph(args.args[0])
-        result = ops.odot(g, int(args.args[1]))
-        sidecar = {"order": result.n, "size": result.m, "vertex_maps": [list(range(g.n))], "merged": []}
-        _emit_graph(result, args.out, sidecar)
-    elif name == "contract":
-        g = _load_graph(args.args[0])
-        v = int(args.args[1])
+        g = _load_graph(operands[0])
+        return ops.CompositionResult(ops.odot(g, int(operands[1])), (tuple(range(g.n)),), ())
+    if name == "contract":
+        g = _load_graph(operands[0])
+        v = int(operands[1])
         result = ops.contract_clique(g, v)
         mapping = [w if w < v else w - 1 for w in range(g.n)]
         mapping[v] = -1  # deleted vertex has no image
-        sidecar = {"order": result.n, "size": result.m, "vertex_maps": [mapping], "merged": []}
-        _emit_graph(result, args.out, sidecar)
-    elif name == "union":
-        g = _load_graph(args.args[0])
-        h = _load_graph(args.args[1])
-        comp = ops.disjoint_union(g, h)
-        sidecar = {
-            "order": comp.graph.n,
-            "size": comp.graph.m,
-            "vertex_maps": [list(m) for m in comp.vertex_maps],
-            "merged": list(comp.merged),
-        }
-        _emit_graph(comp.graph, args.out, sidecar)
-    elif name == "chain":
-        parts = []
-        for spec in args.args:
-            path, x, y = _parse_attach(spec, 2)
-            parts.append((_load_graph(path), x, y))
-        comp = ops.chain(parts)
-        sidecar = {
-            "order": comp.graph.n,
-            "size": comp.graph.m,
-            "vertex_maps": [list(m) for m in comp.vertex_maps],
-            "merged": list(comp.merged),
-        }
-        _emit_graph(comp.graph, args.out, sidecar)
-    elif name == "bouquet":
-        parts = []
-        for spec in args.args:
-            path, x = _parse_attach(spec, 1)
-            parts.append((_load_graph(path), x))
-        comp = ops.bouquet(parts)
-        sidecar = {
-            "order": comp.graph.n,
-            "size": comp.graph.m,
-            "vertex_maps": [list(m) for m in comp.vertex_maps],
-            "merged": list(comp.merged),
-        }
-        _emit_graph(comp.graph, args.out, sidecar)
-    else:
-        raise ValueError(f"unknown operation {name!r}")
+        return ops.CompositionResult(result, (tuple(mapping),), ())
+    if name == "union":
+        return ops.disjoint_union(_load_graph(operands[0]), _load_graph(operands[1]))
+    if name == "chain":
+        specs = [_parse_attach(spec, 2) for spec in operands]
+        return ops.chain([(_load_graph(path), x, y) for path, x, y in specs])
+    specs = [_parse_attach(spec, 1) for spec in operands]
+    return ops.bouquet([(_load_graph(path), x) for path, x in specs])
+
+
+def cmd_op(args) -> int:
+    comp = _compose(args.operation, args.args)
+    sidecar = {
+        "order": comp.graph.n,
+        "size": comp.graph.m,
+        "vertex_maps": [list(m) for m in comp.vertex_maps],
+        "merged": list(comp.merged),
+    }
+    _emit_graph(comp.graph, args.out, sidecar)
     return EXIT_OK
 
 
@@ -239,9 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_check)
 
     p_op = sub.add_parser("op", help="apply a graph operation")
-    p_op.add_argument("operation", choices=("odot", "contract", "union", "chain", "bouquet"))
+    p_op.add_argument("operation", choices=tuple(OP_OPERANDS))
     p_op.add_argument("args", nargs="+",
-                      help="odot/contract: file v; union: file file; chain: file:x:y ...; bouquet: file:x ...")
+                      help="; ".join(f"{name}: {operands}" for name, operands in OP_OPERANDS.items()))
     p_op.add_argument("--out", help="edge-list output path (default stdout)")
     p_op.set_defaults(func=cmd_op)
 

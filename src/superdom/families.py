@@ -1,5 +1,11 @@
 """Generators for the named graph families plus seeded G(n,p) instances.
 
+:data:`FAMILIES` is the one table of what is known about each family: its
+generator, parameter names, distinguished vertices, the parameter grid
+the harness draws from, and the closed form of gamma_sp with the check
+identifier that verifies it.  ``gen``, :func:`build_family`,
+``theorems.family_pool`` and ``theorems.check_closed_forms`` all read it.
+
 Labelling conventions are part of the contract here, since downstream
 checks attach compositions at specific vertices:
 
@@ -15,19 +21,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from .graph import Graph
-
-FAMILY_KINDS = (
-    "path",
-    "cycle",
-    "complete",
-    "complete_bipartite",
-    "star",
-    "friendship",
-    "gnp_random",
-)
 
 RationalLike = Union[Fraction, int, str, Tuple[int, int]]
 
@@ -123,6 +119,72 @@ def gnp_random_graph(n: int, p: RationalLike, seed: int) -> Graph:
 
 
 @dataclass(frozen=True)
+class Family:
+    """Everything stated about one named family.
+
+    ``grid(max_order)`` yields the parameter tuples of the harness pool, in
+    pool order.  Where ``in_domain`` holds, gamma_sp of the instance equals
+    ``value(*params)``, and the harness checks that under ``check_id``.
+    """
+
+    build: Callable[..., Graph]
+    params: Tuple[str, ...]
+    distinguished: Callable[..., Dict[str, int]] = lambda *params: {}
+    grid: Callable[[int], Iterable[Tuple[int, ...]]] = lambda max_order: ()
+    check_id: Optional[str] = None
+    value: Optional[Callable[..., int]] = None
+    in_domain: Callable[..., bool] = lambda *params: True
+
+
+def _orders(lo: int, hi: int) -> Iterator[Tuple[int]]:
+    return ((n,) for n in range(lo, hi + 1))
+
+
+FAMILIES: Dict[str, Family] = {
+    "path": Family(
+        path_graph, ("n",),
+        distinguished=lambda n: {"start": 0, "end": n - 1},
+        grid=lambda m: _orders(1, m),
+        check_id="T2i", value=lambda n: (n + 1) // 2, in_domain=lambda n: n >= 3,
+    ),
+    "cycle": Family(
+        cycle_graph, ("n",),
+        grid=lambda m: _orders(3, m),
+        check_id="T2ii", value=lambda n: (n + 1) // 2 if n % 4 in (0, 3) else (n + 2) // 2,
+    ),
+    "complete": Family(
+        complete_graph, ("n",),
+        grid=lambda m: _orders(1, m),
+        check_id="T2iii", value=lambda n: n - 1, in_domain=lambda n: n >= 2,
+    ),
+    "complete_bipartite": Family(
+        complete_bipartite_graph, ("a", "b"),
+        distinguished=lambda a, b: {"first_of_part_a": 0, "first_of_part_b": a},
+        grid=lambda m: ((a, b) for a in range(2, m + 1) for b in range(a, m - a + 1)),
+        check_id="T2iv", value=lambda a, b: a + b - 2, in_domain=lambda a, b: min(a, b) >= 2,
+    ),
+    "star": Family(
+        star_graph, ("leaves",),
+        distinguished=lambda leaves: {"center": 0},
+        grid=lambda m: _orders(1, m - 1),
+        check_id="T2v", value=lambda leaves: leaves,
+    ),
+    "friendship": Family(
+        friendship_graph, ("k",),
+        distinguished=lambda k: {"center": 0},
+        grid=lambda m: _orders(1, (m - 1) // 2),
+        check_id="T_Fn", value=lambda k: k + 1,
+    ),
+    "gnp_random": Family(
+        lambda n, num, den, seed: gnp_random_graph(n, Fraction(num, den), seed),
+        ("n", "p_numerator", "p_denominator", "seed"),
+    ),
+}
+
+FAMILY_KINDS = tuple(FAMILIES)
+
+
+@dataclass(frozen=True)
 class FamilyInstance:
     """A generated family member together with its replay parameters."""
 
@@ -137,39 +199,21 @@ class FamilyInstance:
 
 
 def build_family(kind: str, params: Tuple[int, ...]) -> FamilyInstance:
-    """Dispatch a family build from (kind, integer params).
-
-    gnp_random takes params (n, p_numerator, p_denominator, seed); the
-    other kinds take the parameter counts of their generator functions.
-    """
-    if kind == "path":
-        (n,) = params
-        g = path_graph(n)
-        dist = {"start": 0, "end": n - 1}
-    elif kind == "cycle":
-        (n,) = params
-        g = cycle_graph(n)
-        dist = {}
-    elif kind == "complete":
-        (n,) = params
-        g = complete_graph(n)
-        dist = {}
-    elif kind == "complete_bipartite":
-        a, b = params
-        g = complete_bipartite_graph(a, b)
-        dist = {"first_of_part_a": 0, "first_of_part_b": a}
-    elif kind == "star":
-        (n,) = params
-        g = star_graph(n)
-        dist = {"center": 0}
-    elif kind == "friendship":
-        (n,) = params
-        g = friendship_graph(n)
-        dist = {"center": 0}
-    elif kind == "gnp_random":
-        n, num, den, seed = params
-        g = gnp_random_graph(n, Fraction(num, den), seed)
-        dist = {}
-    else:
+    """Build a family member from (kind, integer params), the params named
+    by ``FAMILIES[kind].params``."""
+    family = FAMILIES.get(kind)
+    if family is None:
         raise ValueError(f"unknown family kind {kind!r}, expected one of {FAMILY_KINDS}")
-    return FamilyInstance(kind, tuple(params), g, dist)
+    if len(params) != len(family.params):
+        raise ValueError(
+            f"{kind} takes {len(family.params)} parameter(s) ({' '.join(family.params)}), "
+            f"got {len(params)}"
+        )
+    return FamilyInstance(kind, tuple(params), family.build(*params), family.distinguished(*params))
+
+
+def family_grid(max_order: int) -> Iterator[FamilyInstance]:
+    """Every grid instance of order <= max_order, family by family in table order."""
+    for kind, family in FAMILIES.items():
+        for params in family.grid(max_order):
+            yield build_family(kind, params)

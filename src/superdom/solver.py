@@ -81,13 +81,9 @@ def is_dominating(g: Graph, s: SetLike) -> bool:
     return all(g.adj[u] & s.mask for u in outside)
 
 
-def super_domination_witnesses(g: Graph, s: SetLike) -> Optional[Dict[int, int]]:
-    """Witness map for ``s`` if it super dominates, else None.
-
-    Each outside vertex u maps to its smallest witness: a v in s adjacent
-    to u whose neighbourhood meets the outside only in u.  The empty map
-    for s = V is a valid (vacuous) answer.
-    """
+def _witness_scan(g: Graph, s: SetLike) -> Union[Dict[int, int], str]:
+    """The witness map of ``s``, or the reason its smallest failing outside
+    vertex disqualifies it."""
     s = _as_vertex_set(g, s)
     outside = s.mask ^ ((1 << g.n) - 1)
     witnesses: Dict[int, int] = {}
@@ -97,17 +93,28 @@ def super_domination_witnesses(g: Graph, s: SetLike) -> Optional[Dict[int, int]]
         u = ub.bit_length() - 1
         rest ^= ub
         cand = g.adj[u] & s.mask
-        found = -1
+        if not cand:
+            return f"u={u}: not dominated"
         while cand:
             vb = cand & -cand
             cand ^= vb
             if g.adj[vb.bit_length() - 1] & outside == ub:
-                found = vb.bit_length() - 1
+                witnesses[u] = vb.bit_length() - 1
                 break
-        if found < 0:
-            return None
-        witnesses[u] = found
+        else:
+            return f"u={u}: no witness"
     return witnesses
+
+
+def super_domination_witnesses(g: Graph, s: SetLike) -> Optional[Dict[int, int]]:
+    """Witness map for ``s`` if it super dominates, else None.
+
+    Each outside vertex u maps to its smallest witness: a v in s adjacent
+    to u whose neighbourhood meets the outside only in u.  The empty map
+    for s = V is a valid (vacuous) answer.
+    """
+    found = _witness_scan(g, s)
+    return None if isinstance(found, str) else found
 
 
 def is_super_dominating(g: Graph, s: SetLike) -> bool:
@@ -117,22 +124,8 @@ def is_super_dominating(g: Graph, s: SetLike) -> bool:
 
 def first_violation(g: Graph, s: SetLike) -> Optional[str]:
     """Human-readable reason the smallest failing outside vertex disqualifies ``s``."""
-    s = _as_vertex_set(g, s)
-    outside = s.complement()
-    for u in outside:
-        if not g.adj[u] & s.mask:
-            return f"u={u}: not dominated"
-        cand = g.adj[u] & s.mask
-        ok = False
-        while cand:
-            vb = cand & -cand
-            cand ^= vb
-            if g.adj[vb.bit_length() - 1] & outside.mask == 1 << u:
-                ok = True
-                break
-        if not ok:
-            return f"u={u}: no witness"
-    return None
+    found = _witness_scan(g, s)
+    return found if isinstance(found, str) else None
 
 
 def _prefix_feasible(adj: Tuple[int, ...], prefix: int) -> bool:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -148,121 +148,34 @@ def _default_label(g: Graph) -> str:
 
 
 def check_sandwich(g: Graph, instance: Optional[str] = None, guard: int = solver.DEFAULT_GUARD) -> TheoremReport:
-    """1 <= gamma(G) <= n/2 <= gamma_sp(G) <= n-1, for isolated-free graphs.
+    """1 <= gamma(G) <= n/2 <= gamma_sp(G) <= n-1, for graphs with an edge.
 
-    The domination half is the classical n/2 bound, which needs every
-    vertex to have a neighbour (K_2 plus an isolated vertex has
-    gamma = 2 > 3/2), so inputs with isolated vertices are rejected.  The
-    remaining three inequalities hold for any graph with an edge; see
-    :func:`check_sandwich_edges_only`.
+    The gamma <= n/2 row is the classical domination bound, which needs
+    every vertex to have a neighbour (K_2 plus an isolated vertex has
+    gamma = 2 > 3/2), so it is dropped exactly when ``g`` has an isolated
+    vertex.  The other three rows hold for any graph with an edge.
     """
     if g.m == 0:
         raise ValueError("sandwich bound applies only to graphs with at least one edge")
-    if any(a == 0 for a in g.adj):
-        raise ValueError(
-            "sandwich bound applies only to graphs without isolated vertices "
-            "(the gamma <= n/2 half fails otherwise)"
-        )
     dom = _dom_cert(g, guard)
     sdom = _sdom_cert(g, guard)
     half = Fraction(g.n, 2)
-    rows = [
-        (1, "<=", dom.value),
-        (dom.value, "<=", half),
-        (half, "<=", sdom.value),
-        (sdom.value, "<=", g.n - 1),
-    ]
+    rows: List[Row] = [(1, "<=", dom.value)]
+    if all(g.adj):
+        rows.append((dom.value, "<=", half))
+    rows += [(half, "<=", sdom.value), (sdom.value, "<=", g.n - 1)]
     witness = {"gamma_set": list(dom.vertices), "gamma_sp": _cert_payload(sdom)}
     return _report("T1", instance or _default_label(g), rows, witness)
-
-
-def check_sandwich_edges_only(g: Graph, instance: Optional[str] = None, guard: int = solver.DEFAULT_GUARD) -> TheoremReport:
-    """The sandwich rows that survive isolated vertices: 1 <= gamma and
-    n/2 <= gamma_sp <= n-1, for any graph with at least one edge."""
-    if g.m == 0:
-        raise ValueError("bounds apply only to graphs with at least one edge")
-    dom = _dom_cert(g, guard)
-    sdom = _sdom_cert(g, guard)
-    half = Fraction(g.n, 2)
-    rows = [
-        (1, "<=", dom.value),
-        (half, "<=", sdom.value),
-        (sdom.value, "<=", g.n - 1),
-    ]
-    witness = {"gamma_set": list(dom.vertices), "gamma_sp": _cert_payload(sdom)}
-    return _report("T1", instance or _default_label(g), rows, witness)
-
-
-def expected_path_value(n: int) -> int:
-    if n < 3:
-        raise ValueError("closed form stated for paths on n >= 3 vertices")
-    return (n + 1) // 2
-
-
-def expected_cycle_value(n: int) -> int:
-    if n < 3:
-        raise ValueError("cycles need n >= 3")
-    return (n + 1) // 2 if n % 4 in (0, 3) else (n + 2) // 2
-
-
-def expected_complete_value(n: int) -> int:
-    if n < 2:
-        raise ValueError("closed form stated for cliques on n >= 2 vertices")
-    return n - 1
-
-
-def expected_complete_bipartite_value(a: int, b: int) -> int:
-    if min(a, b) < 2:
-        raise ValueError("closed form stated for parts of size >= 2")
-    return a + b - 2
-
-
-def expected_star_value(leaves: int) -> int:
-    if leaves < 1:
-        raise ValueError("stars need at least one leaf")
-    return leaves
-
-
-def expected_friendship_value(k: int) -> int:
-    if k < 1:
-        raise ValueError("friendship graphs need k >= 1")
-    return k + 1
 
 
 def check_closed_forms(max_order: int = 12, guard: int = solver.DEFAULT_GUARD) -> List[TheoremReport]:
     """Solver value == closed form, for every family instance of order <= max_order."""
     out = []
-
-    def solved(g: Graph) -> int:
-        return _sdom_cert(g, guard).value
-
-    for n in range(3, max_order + 1):
-        g = families.path_graph(n)
-        out.append(_report("T2i", f"path({n})", [(solved(g), "==", expected_path_value(n))]))
-    for n in range(3, max_order + 1):
-        g = families.cycle_graph(n)
-        out.append(_report("T2ii", f"cycle({n})", [(solved(g), "==", expected_cycle_value(n))]))
-    for n in range(2, max_order + 1):
-        g = families.complete_graph(n)
-        out.append(_report("T2iii", f"complete({n})", [(solved(g), "==", expected_complete_value(n))]))
-    for a in range(2, max_order + 1):
-        for b in range(a, max_order + 1):
-            if a + b > max_order:
-                continue
-            g = families.complete_bipartite_graph(a, b)
-            out.append(
-                _report(
-                    "T2iv",
-                    f"complete_bipartite({a},{b})",
-                    [(solved(g), "==", expected_complete_bipartite_value(a, b))],
-                )
-            )
-    for leaves in range(1, max_order):
-        g = families.star_graph(leaves)
-        out.append(_report("T2v", f"star({leaves})", [(solved(g), "==", expected_star_value(leaves))]))
-    for k in range(1, (max_order - 1) // 2 + 1):
-        g = families.friendship_graph(k)
-        out.append(_report("T_Fn", f"friendship({k})", [(solved(g), "==", expected_friendship_value(k))]))
+    for inst in families.family_grid(max_order):
+        family = families.FAMILIES[inst.kind]
+        if family.check_id and family.in_domain(*inst.params):
+            rows = [(_sdom_cert(inst.graph, guard).value, "==", family.value(*inst.params))]
+            out.append(_report(family.check_id, inst.label(), rows))
     return out
 
 
@@ -498,6 +411,14 @@ class RandomGrid:
     p_values: Tuple[Fraction, ...] = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
     seed: int = 42
 
+    def __post_init__(self) -> None:
+        if self.count < 0:
+            raise ValueError(f"random grid count must be >= 0, got {self.count}")
+        if not 0 <= self.n_min <= self.n_max:
+            raise ValueError(f"random grid needs 0 <= n_min <= n_max, got n_min={self.n_min}, n_max={self.n_max}")
+        if self.count and not self.p_values:
+            raise ValueError("random grid with count > 0 needs at least one p value")
+
 
 def random_pool(grid: RandomGrid) -> List[Tuple[str, Graph]]:
     span = grid.n_max - grid.n_min + 1
@@ -512,22 +433,7 @@ def random_pool(grid: RandomGrid) -> List[Tuple[str, Graph]]:
 
 def family_pool(max_order: int = 12) -> List[Tuple[str, Graph]]:
     """Every named-family instance of order <= max_order."""
-    out: List[Tuple[str, Graph]] = []
-    for n in range(1, max_order + 1):
-        out.append((f"path({n})", families.path_graph(n)))
-    for n in range(3, max_order + 1):
-        out.append((f"cycle({n})", families.cycle_graph(n)))
-    for n in range(1, max_order + 1):
-        out.append((f"complete({n})", families.complete_graph(n)))
-    for a in range(2, max_order + 1):
-        for b in range(a, max_order + 1):
-            if a + b <= max_order:
-                out.append((f"complete_bipartite({a},{b})", families.complete_bipartite_graph(a, b)))
-    for leaves in range(1, max_order):
-        out.append((f"star({leaves})", families.star_graph(leaves)))
-    for k in range(1, (max_order - 1) // 2 + 1):
-        out.append((f"friendship({k})", families.friendship_graph(k)))
-    return out
+    return [(inst.label(), inst.graph) for inst in families.family_grid(max_order)]
 
 
 def connected_random_pool(
@@ -574,46 +480,51 @@ class HarnessConfig:
     bouquet_samples: int = 20
     guard: int = solver.DEFAULT_GUARD
 
+    def __post_init__(self) -> None:
+        if self.family_max_order < 1:
+            raise ValueError(f"family_max_order must be >= 1, got {self.family_max_order}")
+        for name in ("union_pairs", "chain_samples", "bouquet_samples"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.guard < 1:
+            raise ValueError(f"guard must be >= 1, got {self.guard}")
+
 
 DEFAULT_CONFIG = HarnessConfig()
+
+
+def _json_list(value, key: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"config key {key!r} must be a list, got {type(value).__name__}")
+    return value
 
 
 def config_from_dict(data: Dict) -> HarnessConfig:
     """Build a config from parsed JSON; unknown keys are rejected.
 
     A missing or empty ``theorems`` list selects nothing, so ``{}`` is the
-    empty run.  Probabilities are strings or numbers accepted by
-    ``Fraction``.
+    empty run.  Other missing keys take the :class:`HarnessConfig` and
+    :class:`RandomGrid` defaults.  Probabilities are strings or numbers
+    accepted by ``Fraction``.
     """
-    known = {"theorems", "family_max_order", "random", "union_pairs", "chain_samples", "bouquet_samples", "guard"}
-    extra = set(data) - known
+    extra = set(data) - {f.name for f in fields(HarnessConfig)}
     if extra:
         raise ValueError(f"unknown config keys: {sorted(extra)}")
-    theorems = tuple(data.get("theorems", ()))
+    theorems = tuple(_json_list(data.get("theorems", []), "theorems"))
     bad = [t for t in theorems if t not in ALL_THEOREM_IDS]
     if bad:
         raise ValueError(f"unknown check identifiers: {bad}")
     grid_data = data.get("random", {})
-    grid_known = {"count", "n_min", "n_max", "p", "seed"}
-    grid_extra = set(grid_data) - grid_known
+    grid_keys = {"p"} | {f.name for f in fields(RandomGrid) if f.name != "p_values"}
+    grid_extra = set(grid_data) - grid_keys
     if grid_extra:
         raise ValueError(f"unknown random grid keys: {sorted(grid_extra)}")
-    grid = RandomGrid(
-        count=int(grid_data.get("count", 200)),
-        n_min=int(grid_data.get("n_min", 4)),
-        n_max=int(grid_data.get("n_max", 12)),
-        p_values=tuple(Fraction(str(p)) for p in grid_data.get("p", ["1/4", "1/2", "3/4"])),
-        seed=int(grid_data.get("seed", 42)),
-    )
-    return HarnessConfig(
-        theorems=theorems,
-        family_max_order=int(data.get("family_max_order", 12)),
-        random=grid,
-        union_pairs=int(data.get("union_pairs", 50)),
-        chain_samples=int(data.get("chain_samples", 20)),
-        bouquet_samples=int(data.get("bouquet_samples", 20)),
-        guard=int(data.get("guard", solver.DEFAULT_GUARD)),
-    )
+    grid_args = {k: int(v) for k, v in grid_data.items() if k != "p"}
+    if "p" in grid_data:
+        grid_args["p_values"] = tuple(Fraction(str(p)) for p in _json_list(grid_data["p"], "random.p"))
+    grid = RandomGrid(**grid_args)
+    rest = {k: int(v) for k, v in data.items() if k not in ("theorems", "random")}
+    return HarnessConfig(theorems=theorems, random=grid, **rest)
 
 
 def config_to_dict(cfg: HarnessConfig) -> Dict:
@@ -646,17 +557,17 @@ def run_harness(cfg: HarnessConfig = DEFAULT_CONFIG) -> Tuple[List[TheoremReport
     if bad:
         raise ValueError(f"unknown check identifiers: {sorted(bad)}")
     guard = cfg.guard
+    if cfg.family_max_order > guard:
+        raise ValueError(f"family_max_order {cfg.family_max_order} exceeds the size guard {guard}")
+    if cfg.random.count and cfg.random.n_max > guard:
+        raise ValueError(f"random grid n_max {cfg.random.n_max} exceeds the size guard {guard}")
     reports: List[TheoremReport] = []
 
     pool = family_pool(cfg.family_max_order) + random_pool(cfg.random)
 
     if "T1" in want:
         for label, g in pool:
-            if g.m == 0:
-                continue
-            if any(a == 0 for a in g.adj):
-                reports.append(check_sandwich_edges_only(g, label, guard))
-            else:
+            if g.m:
                 reports.append(check_sandwich(g, label, guard))
 
     if want & {"T2i", "T2ii", "T2iii", "T2iv", "T2v", "T_Fn"}:

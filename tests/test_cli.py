@@ -10,6 +10,7 @@ from referencing.jsonschema import DRAFT7
 
 from superdom import read_edge_list, friendship_graph, is_isomorphic, star_graph
 from superdom.cli import main
+from superdom.families import FAMILY_KINDS
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 
@@ -72,6 +73,32 @@ class TestGen:
 
     def test_bad_params(self, capsys):
         assert main(["gen", "path", "x"]) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["path", "3", "4"], "path takes 1 parameter(s) (n), got 2"),
+        (["complete_bipartite", "3"], "complete_bipartite takes 2 parameter(s) (a b), got 1"),
+    ], ids=["surplus", "missing"])
+    def test_wrong_arity_names_parameters(self, argv, message, capsys):
+        assert main(["gen"] + argv) == 2
+        assert message in capsys.readouterr().err
+
+    def test_meta_for_every_kind(self, capsys):
+        cases = {
+            "path": (["5"], {"start": 0, "end": 4}),
+            "cycle": (["5"], {}),
+            "complete": (["4"], {}),
+            "complete_bipartite": (["2", "3"], {"first_of_part_a": 0, "first_of_part_b": 2}),
+            "star": (["4"], {"center": 0}),
+            "friendship": (["2"], {"center": 0}),
+            "gnp_random": (["6", "1/2"], {}),
+        }
+        assert tuple(cases) == FAMILY_KINDS
+        for kind, (params, distinguished) in cases.items():
+            assert main(["--seed", "3", "gen", kind] + params) == 0
+            meta = json.loads(capsys.readouterr().err)
+            validate(meta, "gen_meta.schema.json")
+            assert meta["family"] == kind
+            assert meta["distinguished"] == distinguished
 
 
 class TestGammaSp:
@@ -199,6 +226,14 @@ class TestOp:
         assert main(["op", "chain", p5]) == 2
         assert main(["op", "odot", p5, "99"]) == 2
 
+    @pytest.mark.parametrize("operation", ["odot", "contract", "union"])
+    def test_surplus_operands_rejected(self, operation, p5, c4, capsys):
+        operands = {"odot": [p5, "1", "7"], "contract": [p5, "1", "7"], "union": [p5, c4, p5]}
+        assert main(["op", operation] + operands[operation]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{operation} takes: " in captured.err and "got 3 operands" in captured.err
+
 
 SMALL_CONFIG = {
     "theorems": ["T1", "T2i", "R_chain_sharp_upper"],
@@ -231,6 +266,33 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg)]) == 2
         cfg.write_text("{not json")
         assert main(["verify", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("config, message", [
+        ({"theorems": ["T1"], "random": {"n_min": 8, "n_max": 7}}, "n_min <= n_max"),
+        ({"theorems": ["T1"], "random": {"count": -5}}, "count must be >= 0"),
+        ({"theorems": ["T1"], "random": {"p": []}}, "at least one p value"),
+        ({"theorems": "T1"}, "'theorems' must be a list"),
+        ({"theorems": ["T1"], "family_max_order": 25}, "family_max_order 25 exceeds the size guard 24"),
+        ({"theorems": ["T1"], "random": {"n_max": 25}}, "n_max 25 exceeds the size guard 24"),
+    ], ids=["n_min_above_n_max", "negative_count", "empty_p", "theorems_not_list",
+            "family_order_above_guard", "n_max_above_guard"])
+    def test_config_faults_are_usage_errors(self, config, message, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["verify", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_guard_flag_checked_against_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"theorems": ["T2i"], "family_max_order": 14, "guard": 12}))
+        assert main(["--guard-n", "14", "verify", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["summary"]["total"] == 12
+        assert main(["--guard-n", "10", "verify"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "family_max_order 12 exceeds the size guard 10" in captured.err
 
     def test_failure_maps_to_exit_1(self, tmp_path, monkeypatch, capsys):
         # no honest config fails, so pin the exit-code contract directly

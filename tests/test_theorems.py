@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -31,7 +32,6 @@ from superdom.theorems import (
     check_odot,
     check_odot_sharp,
     check_sandwich,
-    check_sandwich_edges_only,
     config_from_dict,
     connected_random_pool,
     family_pool,
@@ -57,13 +57,13 @@ class TestSandwich:
             check_sandwich(Graph(3))
 
     def test_isolated_vertex_rejected_with_counterexample(self):
-        # K_2 plus an isolated vertex: gamma = 2 > n/2, so the full
-        # sandwich is out of domain while the edges-only rows still hold
+        # K_2 plus an isolated vertex: gamma = 2 > n/2, so the gamma <= n/2
+        # row is out of domain and dropped while the other three still hold
         g = Graph(3, [(0, 1)])
-        with pytest.raises(ValueError, match="isolated"):
-            check_sandwich(g)
-        r = check_sandwich_edges_only(g)
+        r = check_sandwich(g)
         assert r.holds
+        assert r.lhs == (1, Fraction(3, 2), 2) and r.rhs == (2, 2, 2)
+        assert r.relations == ("<=", "<=", "<=")
         assert r.witness["gamma_set"] == [0, 2] or r.witness["gamma_set"] == [1, 2]
 
     def test_random_instances(self):
@@ -222,6 +222,7 @@ class TestHarness:
     def test_config_from_dict_empty_is_empty_run(self):
         cfg = config_from_dict({})
         assert cfg.theorems == ()
+        assert cfg == HarnessConfig(theorems=())
 
     def test_config_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown config keys"):
@@ -263,6 +264,14 @@ class TestHarness:
         assert [g for _, g in a] == [g for _, g in b]
         fam = family_pool(8)
         assert all(g.n <= 8 for _, g in fam)
+
+    def test_default_report_digest(self):
+        # the sha256 of the default report pins every check, instance label
+        # and certificate the harness emits
+        doc = report_document(*run_harness(), DEFAULT_CONFIG)
+        assert hashlib.sha256(doc.encode()).hexdigest() == (
+            "bdaa0f731250ef624945a8fb823fa3b8e445221d6811e78e9e5f5c1a6ea0846e"
+        )
 
     def test_default_config_selects_everything(self):
         assert set(DEFAULT_CONFIG.theorems) == set(ALL_THEOREM_IDS)
