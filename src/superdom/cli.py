@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from fractions import Fraction
 from typing import List, Optional
 
 from . import families, ops, solver, theorems
@@ -58,7 +57,7 @@ def cmd_gen(args) -> int:
     if args.family == "gnp_random":
         if len(params) != 2:
             raise ValueError("gnp_random takes: n p (p as num/den); seed via --seed")
-        p = Fraction(params[1])
+        p = families._as_probability(params[1])
         params = (int(params[0]), p.numerator, p.denominator, args.seed)
     else:
         params = tuple(int(x) for x in params)
@@ -119,13 +118,6 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _parse_attach(spec: str, fields: int) -> List:
-    parts = spec.rsplit(":", fields)
-    if len(parts) != fields + 1:
-        raise ValueError(f"expected file{':x' * fields} in {spec!r}")
-    return [parts[0]] + [int(x) for x in parts[1:]]
-
-
 OP_OPERANDS = {
     "odot": "file v",
     "contract": "file v",
@@ -133,6 +125,15 @@ OP_OPERANDS = {
     "chain": "file:x:y ...",
     "bouquet": "file:x ...",
 }
+
+
+def _parse_attach(spec: str, name: str) -> List:
+    """Split a chain or bouquet operand of the shape given in ``OP_OPERANDS``."""
+    shape = OP_OPERANDS[name].split()[0]
+    parts = spec.rsplit(":", shape.count(":"))
+    if len(parts) != shape.count(":") + 1:
+        raise ValueError(f"expected {shape} in {spec!r}")
+    return [parts[0]] + [int(x) for x in parts[1:]]
 
 
 def _compose(name: str, operands: List[str]) -> ops.CompositionResult:
@@ -150,11 +151,9 @@ def _compose(name: str, operands: List[str]) -> ops.CompositionResult:
         return ops.CompositionResult(result, (tuple(mapping),), ())
     if name == "union":
         return ops.disjoint_union(_load_graph(operands[0]), _load_graph(operands[1]))
-    if name == "chain":
-        specs = [_parse_attach(spec, 2) for spec in operands]
-        return ops.chain([(_load_graph(path), x, y) for path, x, y in specs])
-    specs = [_parse_attach(spec, 1) for spec in operands]
-    return ops.bouquet([(_load_graph(path), x) for path, x in specs])
+    specs = [_parse_attach(spec, name) for spec in operands]
+    compose = ops.chain if name == "chain" else ops.bouquet
+    return compose([(_load_graph(path), *xs) for path, *xs in specs])
 
 
 def cmd_op(args) -> int:

@@ -79,10 +79,13 @@ def friendship_graph(n: int) -> Graph:
 
 
 def _as_probability(p: RationalLike) -> Fraction:
-    if isinstance(p, tuple):
-        p = Fraction(*p)
-    else:
-        p = Fraction(p)
+    """The one parser of edge probabilities: a ``RationalLike`` in [0, 1]."""
+    if isinstance(p, bool) or not isinstance(p, (Fraction, int, str, tuple)):
+        raise ValueError(f"edge probability must be a fraction, an integer or a string, got {p!r}")
+    try:
+        p = Fraction(*p) if isinstance(p, tuple) else Fraction(p)
+    except ZeroDivisionError:
+        raise ValueError(f"edge probability {p!r} has a zero denominator") from None
     if not 0 <= p <= 1:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     return p

@@ -34,11 +34,12 @@ R_*                     sharpness witnesses achieving a bound with equality
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import families, ops, solver
 from .graph import DEFAULT_ISO_GUARD, Graph, is_isomorphic
@@ -400,35 +401,52 @@ def check_bouquet_sharp_upper(k: int, guard: int = solver.DEFAULT_GUARD) -> Theo
 # Instance pools
 
 
+def _check_ints(cfg, prefix: str) -> None:
+    """Fields with a ``minimum`` in their metadata must be ints (not bools) at or above it."""
+    for f in fields(cfg):
+        if "minimum" in f.metadata:
+            value, low = getattr(cfg, f.name), f.metadata["minimum"]
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{prefix}{f.name} must be an integer, got {value!r}")
+            if low is not None and value < low:
+                raise ValueError(f"{prefix}{f.name} must be >= {low}, got {value}")
+
+
 @dataclass(frozen=True)
 class RandomGrid:
     """Replayable G(n,p) grid: instance i uses n cycling over [n_min, n_max],
-    p cycling per full n-sweep, and seed base_seed + i."""
+    p cycling per full n-sweep, and seed base_seed + i.  Each p value is
+    parsed by ``families._as_probability``, so ``"1/4"`` is stored as a Fraction."""
 
-    count: int = 200
-    n_min: int = 4
-    n_max: int = 12
-    p_values: Tuple[Fraction, ...] = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
-    seed: int = 42
+    count: int = field(default=200, metadata={"minimum": 0})
+    n_min: int = field(default=4, metadata={"minimum": 0})
+    n_max: int = field(default=12, metadata={"minimum": 0})
+    p_values: Tuple[Fraction, ...] = field(default=(Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)), metadata={"key": "p"})
+    seed: int = field(default=42, metadata={"minimum": None})
 
     def __post_init__(self) -> None:
-        if self.count < 0:
-            raise ValueError(f"random grid count must be >= 0, got {self.count}")
-        if not 0 <= self.n_min <= self.n_max:
-            raise ValueError(f"random grid needs 0 <= n_min <= n_max, got n_min={self.n_min}, n_max={self.n_max}")
+        _check_ints(self, "random.")
+        if self.n_min > self.n_max:
+            raise ValueError(f"random grid needs n_min <= n_max, got n_min={self.n_min}, n_max={self.n_max}")
+        try:
+            object.__setattr__(self, "p_values", tuple(map(families._as_probability, self.p_values)))
+        except ValueError as exc:
+            raise ValueError(f"random.p: {exc}") from None
         if self.count and not self.p_values:
             raise ValueError("random grid with count > 0 needs at least one p value")
 
 
+def _gnp_stream(seed: int, n_min: int, n_max: int, p_values: Sequence[Fraction]) -> Iterator[Tuple[str, Graph]]:
+    """The labelled G(n,p) draws of a :class:`RandomGrid`, without end."""
+    span = n_max - n_min + 1
+    for i in itertools.count():
+        n = n_min + i % span
+        p = p_values[(i // span) % len(p_values)]
+        yield f"gnp(n={n},p={p},seed={seed + i})", families.gnp_random_graph(n, p, seed + i)
+
+
 def random_pool(grid: RandomGrid) -> List[Tuple[str, Graph]]:
-    span = grid.n_max - grid.n_min + 1
-    out = []
-    for i in range(grid.count):
-        n = grid.n_min + i % span
-        p = grid.p_values[(i // span) % len(grid.p_values)]
-        seed = grid.seed + i
-        out.append((f"gnp(n={n},p={p},seed={seed})", families.gnp_random_graph(n, p, seed)))
-    return out
+    return list(itertools.islice(_gnp_stream(grid.seed, grid.n_min, grid.n_max, grid.p_values), grid.count))
 
 
 def family_pool(max_order: int = 12) -> List[Tuple[str, Graph]]:
@@ -445,18 +463,8 @@ def connected_random_pool(
 ) -> List[Tuple[str, Graph]]:
     """First ``count`` connected graphs from the seeded stream (disconnected
     draws are skipped, keeping the selection replayable)."""
-    span = n_max - n_min + 1
-    out: List[Tuple[str, Graph]] = []
-    j = 0
-    while len(out) < count:
-        n = n_min + j % span
-        p = p_values[(j // span) % len(p_values)]
-        s = seed + j
-        j += 1
-        g = families.gnp_random_graph(n, p, s)
-        if g.is_connected():
-            out.append((f"gnp(n={n},p={p},seed={s})", g))
-    return out
+    stream = _gnp_stream(seed, n_min, n_max, p_values)
+    return list(itertools.islice((item for item in stream if item[1].is_connected()), count))
 
 
 def _pick_vertex(seed: int, tag: str, n: int) -> int:
@@ -472,77 +480,68 @@ def _pick_vertex(seed: int, tag: str, n: int) -> int:
 
 @dataclass(frozen=True)
 class HarnessConfig:
+    """What ``verify`` checks.  The fields are the one table of config keys and
+    limits: integer fields carry the schema's ``minimum`` in their metadata."""
+
     theorems: Tuple[str, ...] = ALL_THEOREM_IDS
-    family_max_order: int = 12
+    family_max_order: int = field(default=12, metadata={"minimum": 1})
     random: RandomGrid = RandomGrid()
-    union_pairs: int = 50
-    chain_samples: int = 20
-    bouquet_samples: int = 20
-    guard: int = solver.DEFAULT_GUARD
+    union_pairs: int = field(default=50, metadata={"minimum": 0})
+    chain_samples: int = field(default=20, metadata={"minimum": 0})
+    bouquet_samples: int = field(default=20, metadata={"minimum": 0})
+    guard: int = field(default=solver.DEFAULT_GUARD, metadata={"minimum": 1})
 
     def __post_init__(self) -> None:
-        if self.family_max_order < 1:
-            raise ValueError(f"family_max_order must be >= 1, got {self.family_max_order}")
-        for name in ("union_pairs", "chain_samples", "bouquet_samples"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.guard < 1:
-            raise ValueError(f"guard must be >= 1, got {self.guard}")
+        _check_ints(self, "")
+        bad = [t for t in self.theorems if t not in ALL_THEOREM_IDS]
+        if bad:
+            raise ValueError(f"unknown check identifiers: {bad}")
 
 
 DEFAULT_CONFIG = HarnessConfig()
 
 
-def _json_list(value, key: str) -> list:
-    if not isinstance(value, list):
-        raise ValueError(f"config key {key!r} must be a list, got {type(value).__name__}")
-    return value
+def _field_args(cls, data, where: str) -> Dict:
+    """Constructor arguments of ``cls`` from a JSON object, checked for shape only:
+    known keys, and a JSON list for each tuple-valued field."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(data).__name__}")
+    table = {f.metadata.get("key", f.name): f for f in fields(cls)}
+    extra = set(data) - set(table)
+    if extra:
+        raise ValueError(f"unknown {where} keys: {sorted(extra)}")
+    args = {}
+    for key, value in data.items():
+        is_list = isinstance(table[key].default, tuple)
+        if is_list and not isinstance(value, list):
+            raise ValueError(f"{where} key {key!r} must be a list, got {type(value).__name__}")
+        args[table[key].name] = tuple(value) if is_list else value
+    return args
 
 
 def config_from_dict(data: Dict) -> HarnessConfig:
     """Build a config from parsed JSON; unknown keys are rejected.
 
-    A missing or empty ``theorems`` list selects nothing, so ``{}`` is the
-    empty run.  Other missing keys take the :class:`HarnessConfig` and
-    :class:`RandomGrid` defaults.  Probabilities are strings or numbers
-    accepted by ``Fraction``.
+    Values pass unconverted to the dataclasses, which check them.  A missing
+    or empty ``theorems`` list selects nothing, so ``{}`` is the empty run.
+    Other missing keys take the :class:`HarnessConfig` and
+    :class:`RandomGrid` defaults.  Probabilities are strings or integers.
     """
-    extra = set(data) - {f.name for f in fields(HarnessConfig)}
-    if extra:
-        raise ValueError(f"unknown config keys: {sorted(extra)}")
-    theorems = tuple(_json_list(data.get("theorems", []), "theorems"))
-    bad = [t for t in theorems if t not in ALL_THEOREM_IDS]
-    if bad:
-        raise ValueError(f"unknown check identifiers: {bad}")
-    grid_data = data.get("random", {})
-    grid_keys = {"p"} | {f.name for f in fields(RandomGrid) if f.name != "p_values"}
-    grid_extra = set(grid_data) - grid_keys
-    if grid_extra:
-        raise ValueError(f"unknown random grid keys: {sorted(grid_extra)}")
-    grid_args = {k: int(v) for k, v in grid_data.items() if k != "p"}
-    if "p" in grid_data:
-        grid_args["p_values"] = tuple(Fraction(str(p)) for p in _json_list(grid_data["p"], "random.p"))
-    grid = RandomGrid(**grid_args)
-    rest = {k: int(v) for k, v in data.items() if k not in ("theorems", "random")}
-    return HarnessConfig(theorems=theorems, random=grid, **rest)
+    args = _field_args(HarnessConfig, data, "config")
+    args.setdefault("theorems", ())
+    args["random"] = RandomGrid(**_field_args(RandomGrid, args.get("random", {}), "random"))
+    return HarnessConfig(**args)
+
+
+def _echo(value):
+    if isinstance(value, RandomGrid):
+        return config_to_dict(value)
+    return [str(v) for v in value] if isinstance(value, tuple) else value
 
 
 def config_to_dict(cfg: HarnessConfig) -> Dict:
-    return {
-        "theorems": list(cfg.theorems),
-        "family_max_order": cfg.family_max_order,
-        "random": {
-            "count": cfg.random.count,
-            "n_min": cfg.random.n_min,
-            "n_max": cfg.random.n_max,
-            "p": [str(p) for p in cfg.random.p_values],
-            "seed": cfg.random.seed,
-        },
-        "union_pairs": cfg.union_pairs,
-        "chain_samples": cfg.chain_samples,
-        "bouquet_samples": cfg.bouquet_samples,
-        "guard": cfg.guard,
-    }
+    """JSON echo of a config (or of its random grid), one key per field."""
+    return {f.metadata.get("key", f.name): _echo(getattr(cfg, f.name)) for f in fields(cfg)}
 
 
 def run_harness(cfg: HarnessConfig = DEFAULT_CONFIG) -> Tuple[List[TheoremReport], Dict]:
@@ -553,9 +552,6 @@ def run_harness(cfg: HarnessConfig = DEFAULT_CONFIG) -> Tuple[List[TheoremReport
     the config, so identical configs yield identical reports.
     """
     want = set(cfg.theorems)
-    bad = want - set(ALL_THEOREM_IDS)
-    if bad:
-        raise ValueError(f"unknown check identifiers: {sorted(bad)}")
     guard = cfg.guard
     if cfg.family_max_order > guard:
         raise ValueError(f"family_max_order {cfg.family_max_order} exceeds the size guard {guard}")

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import jsonschema
@@ -11,6 +12,7 @@ from referencing.jsonschema import DRAFT7
 from superdom import read_edge_list, friendship_graph, is_isomorphic, star_graph
 from superdom.cli import main
 from superdom.families import FAMILY_KINDS
+from superdom.theorems import ALL_THEOREM_IDS, HarnessConfig, RandomGrid
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 
@@ -73,6 +75,9 @@ class TestGen:
 
     def test_bad_params(self, capsys):
         assert main(["gen", "path", "x"]) == 2
+        assert main(["gen", "gnp_random", "8", "1/0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "zero denominator" in captured.err
 
     @pytest.mark.parametrize("argv, message", [
         (["path", "3", "4"], "path takes 1 parameter(s) (n), got 2"),
@@ -224,6 +229,11 @@ class TestOp:
 
     def test_bad_attach_spec(self, p5, capsys):
         assert main(["op", "chain", p5]) == 2
+        assert f"expected file:x:y in {p5!r}" in capsys.readouterr().err
+        assert main(["op", "chain", f"{p5}:1"]) == 2
+        assert f"expected file:x:y in '{p5}:1'" in capsys.readouterr().err
+        assert main(["op", "bouquet", p5]) == 2
+        assert f"expected file:x in {p5!r}" in capsys.readouterr().err
         assert main(["op", "odot", p5, "99"]) == 2
 
     @pytest.mark.parametrize("operation", ["odot", "contract", "union"])
@@ -274,8 +284,19 @@ class TestVerify:
         ({"theorems": "T1"}, "'theorems' must be a list"),
         ({"theorems": ["T1"], "family_max_order": 25}, "family_max_order 25 exceeds the size guard 24"),
         ({"theorems": ["T1"], "random": {"n_max": 25}}, "n_max 25 exceeds the size guard 24"),
+        ({"theorems": ["T1"], "random": {"count": None}}, "random.count must be an integer, got None"),
+        ({"theorems": ["T1"], "random": {"count": "7"}}, "random.count must be an integer, got '7'"),
+        ({"theorems": ["P_union"], "union_pairs": True}, "union_pairs must be an integer, got True"),
+        ({"theorems": ["T1"], "guard": 2.9}, "guard must be an integer, got 2.9"),
+        ({"theorems": ["T1"], "random": {"p": [0.5]}}, "random.p: edge probability must be"),
+        ({"theorems": ["T1"], "random": {"p": ["1/0"]}}, "random.p: edge probability '1/0' has a zero denominator"),
+        ([], "config must be a JSON object, got list"),
+        ("x", "config must be a JSON object, got str"),
+        ({"theorems": ["T1"], "random": []}, "random must be a JSON object, got list"),
     ], ids=["n_min_above_n_max", "negative_count", "empty_p", "theorems_not_list",
-            "family_order_above_guard", "n_max_above_guard"])
+            "family_order_above_guard", "n_max_above_guard", "null_count", "string_count",
+            "bool_union_pairs", "float_guard", "float_p", "zero_denominator_p",
+            "top_level_list", "top_level_string", "random_not_object"])
     def test_config_faults_are_usage_errors(self, config, message, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -283,6 +304,22 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    def test_schema_matches_field_table(self):
+        # the dataclass fields are the one table of config limits; the
+        # schema must promise exactly what they enforce
+        top = schema("verify_config.schema.json")
+        assert top["properties"]["theorems"]["items"]["enum"] == list(ALL_THEOREM_IDS)
+        for cls, props in ((HarnessConfig, top["properties"]),
+                           (RandomGrid, top["properties"]["random"]["properties"])):
+            table = {f.metadata.get("key", f.name): f for f in fields(cls)}
+            assert set(props) == set(table)
+            for key, f in table.items():
+                if "minimum" in f.metadata:
+                    assert props[key]["type"] == "integer", key
+                    assert props[key].get("minimum") == f.metadata["minimum"], key
+                else:
+                    assert props[key]["type"] != "integer", key
 
     def test_guard_flag_checked_against_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -329,3 +366,16 @@ class TestVerify:
             assert proc.returncode == 0, proc.stderr
             runs.append(out.read_bytes())
         assert runs[0] == runs[1]
+
+
+def test_cli_imports_only_stdlib():
+    # superdom has no runtime dependencies, although numpy, scipy and
+    # networkx may be installed next to it
+    code = (
+        "import sys; before = set(sys.modules); import superdom.cli; "
+        "print(' '.join({m.split('.')[0] for m in set(sys.modules) - before}))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split()) - {"superdom"}
+    assert loaded and loaded <= set(sys.stdlib_module_names), loaded - set(sys.stdlib_module_names)

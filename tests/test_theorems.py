@@ -33,6 +33,7 @@ from superdom.theorems import (
     check_odot_sharp,
     check_sandwich,
     config_from_dict,
+    config_to_dict,
     connected_random_pool,
     family_pool,
     random_pool,
@@ -236,6 +237,7 @@ class TestHarness:
         )
         assert cfg.random.p_values == (Fraction(1, 3),)
         assert cfg.random.count == 3
+        assert config_from_dict(config_to_dict(DEFAULT_CONFIG)) == DEFAULT_CONFIG
 
     def test_small_run_green_and_deterministic(self):
         r1, s1 = run_harness(SMALL_CONFIG)
