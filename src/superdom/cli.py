@@ -73,9 +73,14 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _guard(args) -> int:
+    """The size guard for a direct solve: --guard-n, else the default."""
+    return solver.DEFAULT_GUARD if args.guard_n is None else args.guard_n
+
+
 def cmd_gamma_sp(args) -> int:
     g = _load_graph(args.file)
-    cert = solver.gamma_sp(g, guard=args.guard_n)
+    cert = solver.gamma_sp(g, guard=_guard(args))
     if args.format == "text":
         print(f"gamma_sp = {cert.value}")
         print("set =", " ".join(str(v) for v in cert.vertices))
@@ -87,7 +92,7 @@ def cmd_gamma_sp(args) -> int:
 
 def cmd_gamma(args) -> int:
     g = _load_graph(args.file)
-    cert = solver.gamma(g, guard=args.guard_n)
+    cert = solver.gamma(g, guard=_guard(args))
     if args.format == "text":
         print(f"gamma = {cert.value}")
         print("set =", " ".join(str(v) for v in cert.vertices))
@@ -173,8 +178,12 @@ def cmd_verify(args) -> int:
         cfg = theorems.DEFAULT_CONFIG
     else:
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = theorems.config_from_dict(json.load(fh))
-    if args.guard_n != solver.DEFAULT_GUARD:
+            try:
+                raw = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"{args.config}: config is nested too deeply") from None
+        cfg = theorems.config_from_dict(raw)
+    if args.guard_n is not None:
         cfg = replace(cfg, guard=args.guard_n)
     reports, summary = theorems.run_harness(cfg)
     doc = theorems.report_document(reports, summary, cfg)
@@ -197,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="superdom",
         description="Exact super domination solver and bound verification toolkit.",
     )
-    parser.add_argument("--guard-n", type=int, default=solver.DEFAULT_GUARD, metavar="N",
-                        help="size guard for the exact solvers (default %(default)s)")
+    parser.add_argument("--guard-n", type=int, metavar="N",
+                        help=f"size guard for the exact solvers (default {solver.DEFAULT_GUARD})")
     parser.add_argument("--format", choices=("json", "text"), default="json",
                         help="output format (default %(default)s)")
     parser.add_argument("--seed", type=int, default=0, help="seed for random generation")
@@ -241,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.guard_n < 1:
+    if args.guard_n is not None and args.guard_n < 1:
         parser.error(f"argument --guard-n: must be at least 1, got {args.guard_n}")
     try:
         return args.func(args)

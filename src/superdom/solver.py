@@ -6,11 +6,16 @@ unique outside vertex (if N(v) lies outside S except for u, v can serve
 nobody else), so |complement| <= |S| for any valid S and no matching step
 is ever needed: a per-u existence scan is a complete check.
 
-The exact search exploits that cap: candidate complements are enumerated
-by decreasing size starting at floor(n/2), and the first size admitting a
-valid complement is optimal.  Connected components are solved separately
-and their certificates merged, which is value-exact (validity of a
-complement is a per-component property) and keeps the exponent small.
+The exact search looks for the largest valid complement.  Valid
+complements are hereditary (dropping a vertex from one only widens the
+others' witness pools), so sizes are tried upward from 1 to at most
+floor(n/2), and the first size with no valid complement ends the search.
+Each size is a depth-first search that keeps, per node, the outside
+vertices with exactly one and with several prefix neighbours, which makes
+the valid-complement test on each grown prefix incremental.  Connected
+components are solved separately and their certificates merged, which is
+value-exact (validity of a complement is a per-component property) and
+keeps the exponent small.
 
 The minimum dominating set search tries sizes k = 1, 2, ... in turn,
 depth first over ascending vertex choices.  It cuts a prefix in two
@@ -128,62 +133,69 @@ def first_violation(g: Graph, s: SetLike) -> Optional[str]:
     return found if isinstance(found, str) else None
 
 
-def _prefix_feasible(adj: Tuple[int, ...], prefix: int) -> bool:
-    """True iff ``prefix`` is itself a valid complement.
-
-    Every u in the prefix needs some neighbour v outside it whose other
-    prefix neighbours are empty: N(v) & prefix <= {u}, which is == since v
-    is adjacent to u.  That is exactly the witness condition for the set
-    V minus ``prefix``.  Valid complements are hereditary (dropping a
-    vertex from one only widens the others' witness pools), so a failure
-    here also rules out every complement containing the prefix and kills
-    the whole subtree.
-    """
-    rest = prefix
-    while rest:
-        ub = rest & -rest
-        rest ^= ub
-        others = prefix ^ ub
-        cand = adj[ub.bit_length() - 1] & ~prefix
-        while cand:
-            vb = cand & -cand
-            cand ^= vb
-            if adj[vb.bit_length() - 1] & others == 0:
-                break
-        else:
-            return False
-    return True
-
-
 def _lex_first_complement(adj: Tuple[int, ...], n: int, k: int) -> Optional[int]:
     """First (lexicographically) valid complement of size k, or None.
 
     Depth-first over ascending vertex choices, so leaves are visited in
-    lexicographic set order; subtrees are cut by :func:`_prefix_feasible`,
-    which never discards a completable prefix.
+    lexicographic set order.  Each node carries two masks over the vertices
+    outside its prefix P: ``one`` holds those with exactly one neighbour in
+    P, ``many`` those with two or more.  A vertex v outside P witnesses its
+    prefix neighbour exactly when v is in ``one``, so P is a valid
+    complement iff every member of P has a neighbour in ``one``.  Adding a
+    vertex moves its outside neighbours up one count, and only the new
+    vertex and the members whose witnesses just left ``one`` (the prefix
+    neighbours of the new vertex and of the vertices promoted to ``many``)
+    need rechecking.  The test is exact and valid complements are
+    hereditary, so a failing prefix has no valid completion and its whole
+    subtree is cut; no completable prefix is ever discarded.
     """
 
-    def extend(start: int, size: int, prefix: int) -> Optional[int]:
+    def extend(start: int, size: int, prefix: int, one: int, many: int) -> Optional[int]:
         if size == k:
             return prefix
         for v in range(start, n - (k - size) + 1):
-            grown = prefix | (1 << v)
-            if _prefix_feasible(adj, grown):
-                found = extend(v + 1, size + 1, grown)
+            vb = 1 << v
+            grown = prefix | vb
+            near = adj[v] & ~grown
+            promoted = near & one
+            grown_one = (one | near) & ~(many | promoted | vb)
+            grown_many = (many | promoted) & ~vb
+            stale = (adj[v] & prefix) | vb
+            while promoted:
+                wb = promoted & -promoted
+                promoted ^= wb
+                stale |= adj[wb.bit_length() - 1] & prefix
+            while stale:
+                ub = stale & -stale
+                stale ^= ub
+                if not adj[ub.bit_length() - 1] & grown_one:
+                    break
+            else:
+                found = extend(v + 1, size + 1, grown, grown_one, grown_many)
                 if found is not None:
                     return found
         return None
 
-    return extend(0, 0, 0)
+    return extend(0, 0, 0, 0, 0)
 
 
 def _best_complement(adj: Tuple[int, ...], n: int) -> int:
-    """Lexicographically smallest maximum-size valid complement, as a mask."""
-    for k in range(n // 2, 0, -1):
+    """Lexicographically smallest maximum-size valid complement, as a mask.
+
+    Sizes are tried upward, k = 1, 2, ..., n // 2 (a complement never
+    outgrows its set, as witnesses are distinct), and the search stops at
+    the first size with no valid complement.  Valid complements are
+    hereditary, so every size below the maximum has one and the last size
+    that succeeded is the maximum; its lex-first complement is the answer.
+    At most one size, the one past the maximum, is ever refuted.
+    """
+    best = 0
+    for k in range(1, n // 2 + 1):
         found = _lex_first_complement(adj, n, k)
-        if found is not None:
-            return found
-    return 0
+        if found is None:
+            break
+        best = found
+    return best
 
 
 def _check_input(g: Graph, guard: int, what: str) -> None:

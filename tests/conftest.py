@@ -68,6 +68,42 @@ def plain_lexmin_max_complement(g: Graph):
     return []
 
 
+def plain_lexmax_complement(g: Graph):
+    """The solver's tie-break target on graphs too large for the
+    exhaustive scan, found by a different route: sizes k = n//2, n//2 - 1,
+    ... downward, each a depth-first search over ascending vertices that
+    recomputes the valid-complement test on every prefix, and no split
+    into components."""
+    nbr = plain_neighbors(g)
+
+    def prefix_feasible(prefix):
+        return all(any(nbr[v] & prefix == {u} for v in nbr[u] - prefix) for u in prefix)
+
+    def extend(start, k, prefix):
+        if len(prefix) == k:
+            return prefix
+        for v in range(start, g.n - (k - len(prefix)) + 1):
+            if prefix_feasible(set(prefix + [v])):
+                found = extend(v + 1, k, prefix + [v])
+                if found is not None:
+                    return found
+        return None
+
+    for k in range(g.n // 2, 0, -1):
+        found = extend(0, k, [])
+        if found is not None:
+            return found
+    return []
+
+
+def plain_smallest_witnesses(g: Graph, s):
+    """Each outside vertex's smallest private witness in ``s``."""
+    s = set(s)
+    nbr = plain_neighbors(g)
+    return {u: min(v for v in nbr[u] & s if nbr[v] - s == {u})
+            for u in sorted(set(range(g.n)) - s)}
+
+
 @st.composite
 def graphs(draw, min_n=1, max_n=8):
     n = draw(st.integers(min_value=min_n, max_value=max_n))

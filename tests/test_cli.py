@@ -331,6 +331,20 @@ class TestVerify:
         assert captured.out == ""
         assert "family_max_order 12 exceeds the size guard 10" in captured.err
 
+    def test_guard_flag_at_default_value_overrides_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"guard": 12, "family_max_order": 14}))
+        assert main(["--guard-n", "24", "verify", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["guard"] == 24
+
+    def test_deeply_nested_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 200000)
+        assert main(["verify", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}: config is nested too deeply\n"
+
     def test_failure_maps_to_exit_1(self, tmp_path, monkeypatch, capsys):
         # no honest config fails, so pin the exit-code contract directly
         from superdom import theorems as th

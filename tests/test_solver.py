@@ -177,6 +177,40 @@ class TestGammaSp:
             cert = gamma_sp(g)
             assert list(cert.vertices.complement()) == brute.plain_lexmin_max_complement(g)
 
+    @staticmethod
+    def assert_matches_downward_search(g):
+        cert = gamma_sp(g)
+        assert list(cert.vertices.complement()) == brute.plain_lexmax_complement(g)
+        assert cert.witnesses == brute.plain_smallest_witnesses(g, cert.vertices)
+
+    @pytest.mark.parametrize("p", [Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
+    def test_certificates_match_downward_search_on_gnp(self, p):
+        for n in range(1, 17):
+            for seed in range(3):
+                self.assert_matches_downward_search(gnp_random_graph(n, p, seed))
+
+    @pytest.mark.parametrize("parts", [
+        [Graph(1), complete_graph(2)],
+        [complete_graph(2), Graph(3), path_graph(5)],
+        [Graph(1), cycle_graph(5), complete_graph(2), Graph(1)],
+        [gnp_random_graph(8, Fraction(1, 2), 1), Graph(2), complete_graph(2)],
+        [complete_graph(2), complete_graph(2), star_graph(4), Graph(1)],
+    ], ids=["K1+K2", "K2+E3+P5", "K1+C5+K2+K1", "gnp8+E2+K2", "K2+K2+S4+K1"])
+    def test_certificates_match_downward_search_on_unions(self, parts):
+        g = parts[0]
+        for part in parts[1:]:
+            g = disjoint_union(g, part).graph
+        self.assert_matches_downward_search(g)
+
+    @pytest.mark.parametrize("n,p,seed", [
+        (22, Fraction(1, 8), 0),
+        (22, Fraction(1, 2), 1),
+        (23, Fraction(1, 8), 2),
+        (24, Fraction(3, 4), 0),
+    ])
+    def test_certificates_match_downward_search_above_oracle_range(self, n, p, seed):
+        self.assert_matches_downward_search(gnp_random_graph(n, p, seed))
+
     def test_component_decomposition_additivity(self):
         g1 = cycle_graph(5)
         g2 = gnp_random_graph(6, Fraction(1, 2), 9)
