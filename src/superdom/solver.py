@@ -12,7 +12,12 @@ others' witness pools), so sizes are tried upward from 1 to at most
 floor(n/2), and the first size with no valid complement ends the search.
 Each size is a depth-first search that keeps, per node, the outside
 vertices with exactly one and with several prefix neighbours, which makes
-the valid-complement test on each grown prefix incremental.  Connected
+the valid-complement test on each grown prefix incremental.  The outside
+vertices with no prefix neighbour (the zero pool) are the only possible
+witnesses of the members still to be added, which gives two more cuts:
+only candidates with a neighbour in the zero pool are tried, and a node
+is cut when fewer zero-pool vertices than members still needed have a
+neighbour among the remaining candidates.  Connected
 components are solved separately and their certificates merged, which is
 value-exact (validity of a complement is a per-component property) and
 keeps the exponent small.
@@ -148,13 +153,45 @@ def _lex_first_complement(adj: Tuple[int, ...], n: int, k: int) -> Optional[int]
     need rechecking.  The test is exact and valid complements are
     hereditary, so a failing prefix has no valid completion and its whole
     subtree is cut; no completable prefix is ever discarded.
+
+    Two more cuts read the zero pool ``zero``: the vertices outside P with
+    no neighbour in P.  A member added later needs a witness whose only
+    neighbour in the final complement is that member, so the witness has
+    no neighbour in P and lies in the zero pool, which only shrinks down
+    the tree.  Hence every later member is a candidate v >= start with a
+    neighbour in the zero pool, and the loop runs over those candidates
+    only, stopping once fewer remain than members are still needed.  And
+    the witnesses of distinct members are distinct, so a node is cut when
+    fewer zero-pool vertices than members still needed have a neighbour
+    at or after ``start`` (``reach[start]``, the union of the open
+    neighbourhoods of v >= start).  Both cuts drop only subtrees without a
+    valid completion, so the leaves still come in lexicographic order.
     """
+    full = (1 << n) - 1
+    reach = [0] * (n + 1)  # reach[i]: union of N(v) over v >= i
+    for v in range(n - 1, -1, -1):
+        reach[v] = reach[v + 1] | adj[v]
 
     def extend(start: int, size: int, prefix: int, one: int, many: int) -> Optional[int]:
-        if size == k:
+        need = k - size
+        if not need:
             return prefix
-        for v in range(start, n - (k - size) + 1):
-            vb = 1 << v
+        zero = full & ~(prefix | one | many)
+        if (reach[start] & zero).bit_count() < need:
+            return None
+        cand = 0
+        rest = zero
+        while rest:
+            wb = rest & -rest
+            rest ^= wb
+            cand |= adj[wb.bit_length() - 1]
+        cand = cand >> start << start
+        left = cand.bit_count()
+        while left >= need:
+            vb = cand & -cand
+            cand ^= vb
+            left -= 1
+            v = vb.bit_length() - 1
             grown = prefix | vb
             near = adj[v] & ~grown
             promoted = near & one

@@ -39,7 +39,7 @@ import json
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import families, ops, solver
 from .graph import DEFAULT_ISO_GUARD, Graph, is_isomorphic
@@ -169,15 +169,24 @@ def check_sandwich(g: Graph, instance: Optional[str] = None, guard: int = solver
     return _report("T1", instance or _default_label(g), rows, witness)
 
 
-def check_closed_forms(max_order: int = 12, guard: int = solver.DEFAULT_GUARD) -> List[TheoremReport]:
-    """Solver value == closed form, for every family instance of order <= max_order."""
-    out = []
+def _closed_form_grid(max_order: int) -> Iterator[Tuple[str, families.FamilyInstance]]:
+    """(check id, instance) for every family instance of order <= max_order
+    that lies in the domain of its family's closed form."""
     for inst in families.family_grid(max_order):
         family = families.FAMILIES[inst.kind]
         if family.check_id and family.in_domain(*inst.params):
-            rows = [(_sdom_cert(inst.graph, guard).value, "==", family.value(*inst.params))]
-            out.append(_report(family.check_id, inst.label(), rows))
-    return out
+            yield family.check_id, inst
+
+
+def _check_closed_form(inst: families.FamilyInstance, guard: int) -> TheoremReport:
+    family = families.FAMILIES[inst.kind]
+    rows = [(_sdom_cert(inst.graph, guard).value, "==", family.value(*inst.params))]
+    return _report(family.check_id, inst.label(), rows)
+
+
+def check_closed_forms(max_order: int = 12, guard: int = solver.DEFAULT_GUARD) -> List[TheoremReport]:
+    """Solver value == closed form, for every family instance of order <= max_order."""
+    return [_check_closed_form(inst, guard) for _, inst in _closed_form_grid(max_order)]
 
 
 def check_odot(g: Graph, v: int, instance: Optional[str] = None, guard: int = solver.DEFAULT_GUARD) -> TheoremReport:
@@ -224,6 +233,14 @@ def check_combined_corollary(g: Graph, v: int, instance: Optional[str] = None, g
     rhs = Fraction(cleared + contracted, 2) - deg // 2 + 1
     witness = {"v": v, "degree": deg, "cleared_value": cleared, "contracted_value": contracted}
     return _report("C_combined", f"combined({label},v={v})", [(base, ">=", rhs)], witness)
+
+
+def _check_union(g1: Graph, g2: Graph, instance: str, guard: int) -> TheoremReport:
+    """gamma_sp is additive over the disjoint union of g1 and g2."""
+    v1 = _sdom_cert(g1, guard).value
+    v2 = _sdom_cert(g2, guard).value
+    total = _sdom_cert(ops.disjoint_union(g1, g2).graph, guard).value
+    return _report("P_union", instance, [(total, "==", v1 + v2)], {"part_values": [v1, v2]})
 
 
 def _require_connected(parts: Sequence[Graph]) -> None:
@@ -544,12 +561,22 @@ def config_to_dict(cfg: HarnessConfig) -> Dict:
     return {f.metadata.get("key", f.name): _echo(getattr(cfg, f.name)) for f in fields(cfg)}
 
 
+def _glued_order(orders: Sequence[int]) -> int:
+    """Order of a chain or bouquet of parts of these orders: each of the
+    len(orders) - 1 identifications merges two vertices into one."""
+    return sum(orders) - len(orders) + 1
+
+
 def run_harness(cfg: HarnessConfig = DEFAULT_CONFIG) -> Tuple[List[TheoremReport], Dict]:
     """Evaluate every selected check over the configured instance grids.
 
     Reports come back sorted by (theorem_id, instance); the summary counts
     checks and failures per identifier.  Instances are derived purely from
-    the config, so identical configs yield identical reports.
+    the config, so identical configs yield identical reports.  Every check
+    instance is planned with the largest order it solves (its derived
+    graphs included: unions, compositions, sharpness witnesses) before any
+    runs, and a plan above the size guard is a ``ValueError`` naming the
+    checks, rather than a size-guard error halfway through the run.
     """
     want = set(cfg.theorems)
     guard = cfg.guard
@@ -557,17 +584,21 @@ def run_harness(cfg: HarnessConfig = DEFAULT_CONFIG) -> Tuple[List[TheoremReport
         raise ValueError(f"family_max_order {cfg.family_max_order} exceeds the size guard {guard}")
     if cfg.random.count and cfg.random.n_max > guard:
         raise ValueError(f"random grid n_max {cfg.random.n_max} exceeds the size guard {guard}")
-    reports: List[TheoremReport] = []
+    plans: List[Tuple[str, int, Callable[..., TheoremReport], Tuple]] = []
+
+    def plan(tid: str, order: int, check: Callable[..., TheoremReport], *args) -> None:
+        plans.append((tid, order, check, args))
 
     pool = family_pool(cfg.family_max_order) + random_pool(cfg.random)
 
     if "T1" in want:
         for label, g in pool:
             if g.m:
-                reports.append(check_sandwich(g, label, guard))
+                plan("T1", g.n, check_sandwich, g, label, guard)
 
-    if want & {"T2i", "T2ii", "T2iii", "T2iv", "T2v", "T_Fn"}:
-        reports.extend(r for r in check_closed_forms(cfg.family_max_order, guard) if r.theorem_id in want)
+    for tid, inst in _closed_form_grid(cfg.family_max_order):
+        if tid in want:
+            plan(tid, inst.graph.n, _check_closed_form, inst, guard)
 
     vertex_pool = [(label, g) for label, g in pool if g.n <= 10]
     if want & {"P_odot_pendant", "T_odot", "T_Gv", "C_combined"}:
@@ -575,23 +606,19 @@ def run_harness(cfg: HarnessConfig = DEFAULT_CONFIG) -> Tuple[List[TheoremReport
             for v in range(g.n):
                 deg = g.degree(v)
                 if deg == 1 and "P_odot_pendant" in want:
-                    reports.append(check_odot(g, v, label, guard))
+                    plan("P_odot_pendant", g.n, check_odot, g, v, label, guard)
                 elif deg >= 2:
                     if "T_odot" in want:
-                        reports.append(check_odot(g, v, label, guard))
+                        plan("T_odot", g.n, check_odot, g, v, label, guard)
                     if "T_Gv" in want:
-                        reports.append(check_contract(g, v, label, guard))
+                        plan("T_Gv", g.n, check_contract, g, v, label, guard)
                     if "C_combined" in want:
-                        reports.append(check_combined_corollary(g, v, label, guard))
+                        plan("C_combined", g.n, check_combined_corollary, g, v, label, guard)
 
     if "P_union" in want:
         for i in range(min(cfg.union_pairs, len(pool) // 2)):
             (l1, g1), (l2, g2) = pool[2 * i], pool[2 * i + 1]
-            comp = ops.disjoint_union(g1, g2)
-            v1 = _sdom_cert(g1, guard).value
-            v2 = _sdom_cert(g2, guard).value
-            total = _sdom_cert(comp.graph, guard).value
-            reports.append(_report("P_union", f"union({l1},{l2})", [(total, "==", v1 + v2)], {"part_values": [v1, v2]}))
+            plan("P_union", g1.n + g2.n, _check_union, g1, g2, f"union({l1},{l2})", guard)
 
     if "T_chain2" in want:
         parts = connected_random_pool(2 * cfg.chain_samples, cfg.random.seed + 100_000)
@@ -599,7 +626,7 @@ def run_harness(cfg: HarnessConfig = DEFAULT_CONFIG) -> Tuple[List[TheoremReport
             (l1, g1), (l2, g2) = parts[2 * i], parts[2 * i + 1]
             y1 = _pick_vertex(cfg.random.seed, f"chain2:{i}:y1", g1.n)
             x2 = _pick_vertex(cfg.random.seed, f"chain2:{i}:x2", g2.n)
-            reports.append(check_chain2(g1, y1, g2, x2, f"chain({l1}@{y1},{l2}@{x2})", guard))
+            plan("T_chain2", _glued_order([g1.n, g2.n]), check_chain2, g1, y1, g2, x2, f"chain({l1}@{y1},{l2}@{x2})", guard)
 
     if "C_chain_n" in want:
         parts = connected_random_pool(3 * cfg.chain_samples, cfg.random.seed + 200_000, n_min=4, n_max=6)
@@ -612,7 +639,8 @@ def run_harness(cfg: HarnessConfig = DEFAULT_CONFIG) -> Tuple[List[TheoremReport
                 y = _pick_vertex(cfg.random.seed, f"chainN:{i}:{j}:y", g.n)
                 triple.append((g, x, y))
                 labels.append(f"{label}@{x}:{y}")
-            reports.append(check_chain_n(triple, "chain(" + ",".join(labels) + ")", guard))
+            order = _glued_order([g.n for g, _, _ in triple])
+            plan("C_chain_n", order, check_chain_n, triple, "chain(" + ",".join(labels) + ")", guard)
 
     if want & {"P_bouquet2", "T_bouquet3", "C_bouquet_n"}:
         sizes = [(2, "P_bouquet2"), (3, "T_bouquet3"), (4, "C_bouquet_n")]
@@ -628,22 +656,33 @@ def run_harness(cfg: HarnessConfig = DEFAULT_CONFIG) -> Tuple[List[TheoremReport
                     x = _pick_vertex(cfg.random.seed, f"bouquet:{k}:{i}:{j}", g.n)
                     chosen.append((g, x))
                     labels.append(f"{label}@{x}")
-                reports.append(check_bouquet(chosen, "bouquet(" + ",".join(labels) + ")", guard))
+                order = _glued_order([g.n for g, _ in chosen])
+                plan(tid, order, check_bouquet, chosen, "bouquet(" + ",".join(labels) + ")", guard)
 
+    # Orders of the fixed witnesses: F_k has 2k+1 vertices, P_k has k.
     if "R_odot_sharp" in want:
         for k in range(2, 6):
-            reports.append(check_odot_sharp(k, guard))
+            plan("R_odot_sharp", 2 * k + 1, check_odot_sharp, k, guard)
     if "R_chain_sharp_upper" in want:
-        reports.append(check_chain_sharp_upper(guard))
+        plan("R_chain_sharp_upper", _glued_order([3, 3]), check_chain_sharp_upper, guard)
     if "R_chain_sharp_lower" in want:
-        reports.append(check_chain_sharp_lower(guard))
+        plan("R_chain_sharp_lower", _glued_order([9, 11]), check_chain_sharp_lower, guard)
     if "R_bouquet_sharp_lower" in want:
         for k in (2, 3):
-            reports.append(check_bouquet_sharp_lower(k, guard))
+            plan("R_bouquet_sharp_lower", _glued_order([5] * k), check_bouquet_sharp_lower, k, guard)
     if "R_bouquet_sharp_upper" in want:
         for k in range(2, 11):
-            reports.append(check_bouquet_sharp_upper(k, guard))
+            plan("R_bouquet_sharp_upper", _glued_order([2] * k), check_bouquet_sharp_upper, k, guard)
 
+    over: Dict[str, int] = {}
+    for tid, order, _, _ in plans:
+        if order > guard:
+            over[tid] = max(order, over.get(tid, 0))
+    if over:
+        named = ", ".join(f"{tid} (order {order})" for tid, order in sorted(over.items()))
+        raise ValueError(f"checks solve graphs above the size guard {guard}: {named}")
+
+    reports = [check(*args) for _, _, check, args in plans]
     reports.sort(key=lambda r: (r.theorem_id, r.instance))
     per: Dict[str, Dict[str, int]] = {}
     failed = 0

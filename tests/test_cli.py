@@ -331,6 +331,19 @@ class TestVerify:
         assert captured.out == ""
         assert "family_max_order 12 exceeds the size guard 10" in captured.err
 
+    @pytest.mark.parametrize("guard,named", [
+        ("20", "P_union (order 23)"),
+        ("18", "R_chain_sharp_lower (order 19)"),
+    ])
+    def test_derived_graph_above_guard_is_usage_error(self, guard, named, capsys):
+        # the default grids fit under these guards, but a union and the F_9
+        # sharpness witness do not; the run must stop before any check
+        assert main(["--guard-n", guard, "verify"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: checks solve graphs above the size guard {guard}: ")
+        assert named in captured.err
+
     def test_guard_flag_at_default_value_overrides_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"guard": 12, "family_max_order": 14}))

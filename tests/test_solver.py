@@ -207,9 +207,47 @@ class TestGammaSp:
         (22, Fraction(1, 2), 1),
         (23, Fraction(1, 8), 2),
         (24, Fraction(3, 4), 0),
+        (22, Fraction(1, 8), 4),
+        (22, Fraction(1, 4), 7),
+        (23, Fraction(1, 8), 6),
+        (23, Fraction(1, 4), 5),
+        (24, Fraction(1, 8), 5),
+        (24, Fraction(1, 4), 5),
     ])
     def test_certificates_match_downward_search_above_oracle_range(self, n, p, seed):
         self.assert_matches_downward_search(gnp_random_graph(n, p, seed))
+
+    @pytest.mark.parametrize("n,p,seed,nodes", [
+        (16, Fraction(1, 4), 0, 312),
+        (16, Fraction(1, 8), 1, 163),
+    ])
+    def test_zero_pool_cuts_bound_the_search(self, n, p, seed, nodes):
+        # a weakened cut still returns every certificate unchanged, so only
+        # the number of search nodes entered can show it (without the two
+        # zero-pool cuts these graphs take 540 and 459)
+        entered = 0
+
+        def count(frame, event, arg):
+            nonlocal entered
+            if event == "call" and frame.f_code.co_name == "extend" and frame.f_globals is vars(solver):
+                entered += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            gamma_sp(gnp_random_graph(n, p, seed))
+        finally:
+            sys.setprofile(previous)
+        assert entered <= nodes
+
+    def test_certificates_match_oracles_on_graph_atlas(self):
+        # every graph on 1..7 vertices, up to isomorphism
+        nx = pytest.importorskip("networkx")
+        atlas = [Graph(h.number_of_nodes(), list(h.edges())) for h in nx.graph_atlas_g()[1:]]
+        assert len(atlas) == 1252
+        for g in atlas:
+            assert gamma_sp(g).value == gamma_sp_bruteforce(g), g.edges()
+            self.assert_matches_downward_search(g)
 
     def test_component_decomposition_additivity(self):
         g1 = cycle_graph(5)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from superdom import (
     path_graph,
     star_graph,
 )
+from superdom import theorems
 from superdom.theorems import (
     ALL_THEOREM_IDS,
     DEFAULT_CONFIG,
@@ -277,6 +279,32 @@ class TestHarness:
 
     def test_default_config_selects_everything(self):
         assert set(DEFAULT_CONFIG.theorems) == set(ALL_THEOREM_IDS)
+
+    @pytest.mark.parametrize("tid", [
+        "P_union", "T_chain2", "C_chain_n", "P_bouquet2", "T_bouquet3", "C_bouquet_n",
+        "R_odot_sharp", "R_chain_sharp_upper", "R_chain_sharp_lower",
+        "R_bouquet_sharp_lower", "R_bouquet_sharp_upper",
+    ])
+    def test_guard_plan_is_the_largest_order_solved(self, tid, monkeypatch):
+        # the pre-run guard test must admit exactly the runs that finish: at
+        # the largest order the check solves it runs, one below it stops
+        # before any solve and names the check
+        solved = []
+        cert = theorems._sdom_cert
+
+        def spy(g, guard):
+            solved.append(g.n)
+            return cert(g, guard)
+
+        monkeypatch.setattr(theorems, "_sdom_cert", spy)
+        cfg = HarnessConfig(theorems=(tid,), family_max_order=1, random=RandomGrid(count=0))
+        assert run_harness(cfg)[1]["failed"] == 0
+        largest = max(solved)
+        assert run_harness(replace(cfg, guard=largest))[1]["failed"] == 0
+        solved.clear()
+        with pytest.raises(ValueError, match=rf"{tid} \(order {largest}\)"):
+            run_harness(replace(cfg, guard=largest - 1))
+        assert solved == []
 
     def test_report_union_values(self):
         reports, _ = run_harness(
