@@ -4,6 +4,12 @@ One binary, subcommand style; edge-list files are the composition
 mechanism.  Exit codes: 0 success, 1 check/bound violation, 2 usage or
 parse error, 3 size guard exceeded.  JSON output is emitted with sorted
 keys so identical invocations are byte-identical.
+
+Only ``graph`` and ``solver`` are imported at the top: ``gamma``,
+``gamma-sp`` and ``check`` run nothing else.  The other layers are
+imported where they are used: ``ops`` by ``op``, ``theorems`` by
+``verify``, and ``families`` by ``gen`` and by ``build_parser`` for the
+family names.  A solve thus never loads the compositions or the harness.
 """
 
 from __future__ import annotations
@@ -11,10 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from typing import List, Optional
 
-from . import families, ops, solver, theorems
+from . import solver
 from .graph import EdgeListError, Graph, SizeGuardError, read_edge_list, write_edge_list
 
 EXIT_OK = 0
@@ -53,6 +58,8 @@ def _cert_json(cert: solver.SuperDomCertificate) -> dict:
 
 
 def cmd_gen(args) -> int:
+    from . import families
+
     params = tuple(args.params)
     if args.family == "gnp_random":
         if len(params) != 2:
@@ -142,6 +149,8 @@ def _parse_attach(spec: str, name: str) -> List:
 
 
 def _compose(name: str, operands: List[str]) -> ops.CompositionResult:
+    from . import ops
+
     if not OP_OPERANDS[name].endswith("...") and len(operands) != 2:
         raise ValueError(f"{name} takes: {OP_OPERANDS[name]}; got {len(operands)} operands")
     if name == "odot":
@@ -174,6 +183,11 @@ def cmd_op(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from contextlib import nullcontext
+    from dataclasses import replace
+
+    from . import theorems
+
     if args.config in (None, "default"):
         cfg = theorems.DEFAULT_CONFIG
     else:
@@ -185,23 +199,24 @@ def cmd_verify(args) -> int:
         cfg = theorems.config_from_dict(raw)
     if args.guard_n is not None:
         cfg = replace(cfg, guard=args.guard_n)
-    reports, summary = theorems.run_harness(cfg)
-    doc = theorems.report_document(reports, summary, cfg)
+    # The report file is opened before the run, so an unwritable path
+    # fails before any check does.
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+        reports, summary = theorems.run_harness(cfg)
+        fh.write(theorems.report_document(reports, summary, cfg))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(doc)
         if args.format == "text":
             for tid, slot in sorted(summary["per_theorem"].items()):
                 print(f"{tid}: {slot['checked']} checked, {slot['failed']} failed")
             print(f"total: {summary['total']} checked, {summary['failed']} failed")
         else:
             print(_dump({"summary": summary}))
-    else:
-        sys.stdout.write(doc)
     return EXIT_OK if summary["failed"] == 0 else EXIT_VIOLATION
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .families import FAMILY_KINDS
+
     parser = argparse.ArgumentParser(
         prog="superdom",
         description="Exact super domination solver and bound verification toolkit.",
@@ -214,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a named family instance")
-    p_gen.add_argument("family", choices=families.FAMILY_KINDS)
+    p_gen.add_argument("family", choices=FAMILY_KINDS)
     p_gen.add_argument("params", nargs="+", help="family parameters (gnp_random: n num/den)")
     p_gen.add_argument("--out", help="edge-list output path (default stdout)")
     p_gen.set_defaults(func=cmd_gen)

@@ -19,9 +19,8 @@ checks attach compositions at specific vertices:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, NamedTuple, Optional, Tuple, Union
 
 from .graph import Graph
 
@@ -121,8 +120,7 @@ def gnp_random_graph(n: int, p: RationalLike, seed: int) -> Graph:
     return Graph(n, edges)
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """Everything stated about one named family.
 
     ``grid(max_order)`` yields the parameter tuples of the harness pool, in
@@ -187,8 +185,7 @@ FAMILIES: Dict[str, Family] = {
 FAMILY_KINDS = tuple(FAMILIES)
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
+class FamilyInstance(NamedTuple):
     """A generated family member together with its replay parameters."""
 
     kind: str

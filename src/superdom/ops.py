@@ -10,14 +10,12 @@ while parts are placed left to right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .graph import Graph
 
 
-@dataclass(frozen=True)
-class CompositionResult:
+class CompositionResult(NamedTuple):
     """A composed graph plus the bookkeeping needed to trace vertices.
 
     ``vertex_maps[i][v]`` is the composed index of vertex ``v`` of part i;

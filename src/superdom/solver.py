@@ -42,8 +42,7 @@ minimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Iterable, NamedTuple, Optional, Tuple, Union
 
 from .graph import Graph, SizeGuardError, VertexSet
 
@@ -53,16 +52,14 @@ BRUTEFORCE_GUARD = 16
 SetLike = Union[VertexSet, Iterable[int]]
 
 
-@dataclass(frozen=True)
-class DomCertificate:
+class DomCertificate(NamedTuple):
     """A minimum dominating set."""
 
     vertices: VertexSet
     value: int
 
 
-@dataclass(frozen=True)
-class SuperDomCertificate:
+class SuperDomCertificate(NamedTuple):
     """A minimum super dominating set plus the private witness map.
 
     ``witnesses[u]`` is the in-set vertex whose only outside neighbour is

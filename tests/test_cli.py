@@ -370,6 +370,18 @@ class TestVerify:
         cfg.write_text(json.dumps({"theorems": ["T1"]}))
         assert main(["verify", "--config", str(cfg)]) == 1
 
+    def test_unwritable_out_fails_before_the_run(self, tmp_path, monkeypatch, capsys):
+        from superdom import theorems as th
+
+        def fake_run(cfg):
+            raise AssertionError("run_harness called before the report path was opened")
+
+        monkeypatch.setattr(th, "run_harness", fake_run)
+        assert main(["verify", "--out", str(tmp_path / "missing" / "r.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 2] No such file or directory")
+
     def test_text_summary(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"theorems": ["R_chain_sharp_upper"]}))
@@ -406,3 +418,34 @@ def test_cli_imports_only_stdlib():
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split()) - {"superdom"}
     assert loaded and loaded <= set(sys.stdlib_module_names), loaded - set(sys.stdlib_module_names)
+
+
+def _modules_loaded(code):
+    """The ``superdom`` submodules and ``dataclasses`` loaded once ``code`` ran."""
+    code += "\nimport sys; print(); print(*sorted(m for m in sys.modules if m.startswith(('superdom.', 'dataclasses'))))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+class TestImportBudget:
+    """Each command loads only the layers it runs."""
+
+    def test_solve_commands_load_neither_ops_nor_the_harness(self, p5):
+        commands = [["gamma", p5], ["gamma-sp", p5], ["check", p5, "--set", "0,2,4"]]
+        code = (
+            "from superdom.cli import main\n"
+            f"codes = [main(argv) for argv in {commands!r}]\n"
+            "assert codes == [0, 0, 0], codes"
+        )
+        loaded = _modules_loaded(code)
+        assert {"superdom.graph", "superdom.solver"} <= loaded
+        assert not loaded & {"superdom.theorems", "superdom.ops", "dataclasses"}
+
+    def test_gen_loads_neither_ops_nor_the_harness(self):
+        loaded = _modules_loaded("from superdom.cli import main\nassert main(['gen', 'path', '5']) == 0")
+        assert "superdom.families" in loaded
+        assert not loaded & {"superdom.theorems", "superdom.ops"}
+
+    def test_bare_package_import_loads_no_layer(self):
+        assert _modules_loaded("import superdom") == set()

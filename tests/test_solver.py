@@ -4,6 +4,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -291,6 +292,34 @@ class TestGammaSp:
                 outside = VertexSet(g.n, grown).complement()
                 for uu, vv in wit.items():
                     assert g.adj[vv] & outside.mask == 1 << uu
+
+
+@st.composite
+def relabellings(draw, max_n=10):
+    """A graph, a vertex permutation pi, and the graph with u relabelled pi[u]."""
+    g = draw(graphs(max_n=max_n))
+    pi = draw(st.permutations(range(g.n)))
+    return g, pi, Graph(g.n, [(pi[u], pi[v]) for u, v in g.edges()])
+
+
+class TestRelabelling:
+    """Metamorphic checks: the numbers are graph invariants, so relabelling
+    the vertices must not change them, and a relabelled certificate must
+    certify the relabelled graph."""
+
+    @given(relabellings())
+    @settings(deadline=None)
+    def test_values_unchanged(self, case):
+        g, _, h = case
+        assert gamma_sp(h).value == gamma_sp(g).value
+        assert gamma(h).value == gamma(g).value
+
+    @given(relabellings())
+    @settings(deadline=None)
+    def test_relabelled_certificates_stay_valid(self, case):
+        g, pi, h = case
+        assert super_domination_witnesses(h, [pi[v] for v in gamma_sp(g).vertices]) is not None
+        assert is_dominating(h, [pi[v] for v in gamma(g).vertices])
 
 
 class TestBruteforce:
