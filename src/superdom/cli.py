@@ -10,6 +10,8 @@ Only ``graph`` and ``solver`` are imported at the top: ``gamma``,
 imported where they are used: ``ops`` by ``op``, ``theorems`` by
 ``verify``, and ``families`` by ``gen`` and by ``build_parser`` for the
 family names.  A solve thus never loads the compositions or the harness.
+``gamma`` and ``gamma-sp`` hand their guard to the edge-list reader, so a
+file above it is refused before its graph is built.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def _load_graph(path: str) -> Graph:
+def _load_graph(path: str, guard: Optional[int] = None, what: str = "") -> Graph:
     with open(path, "r", encoding="ascii") as fh:
-        return read_edge_list(fh.read())
+        return read_edge_list(fh.read(), guard, what)
 
 
 def _emit_graph(g: Graph, out: Optional[str], sidecar: dict) -> None:
@@ -86,8 +88,8 @@ def _guard(args) -> int:
 
 
 def cmd_gamma_sp(args) -> int:
-    g = _load_graph(args.file)
-    cert = solver.gamma_sp(g, guard=_guard(args))
+    guard = _guard(args)
+    cert = solver.gamma_sp(_load_graph(args.file, guard, solver.SP_SEARCH), guard=guard)
     if args.format == "text":
         print(f"gamma_sp = {cert.value}")
         print("set =", " ".join(str(v) for v in cert.vertices))
@@ -98,8 +100,8 @@ def cmd_gamma_sp(args) -> int:
 
 
 def cmd_gamma(args) -> int:
-    g = _load_graph(args.file)
-    cert = solver.gamma(g, guard=_guard(args))
+    guard = _guard(args)
+    cert = solver.gamma(_load_graph(args.file, guard, solver.DOM_SEARCH), guard=guard)
     if args.format == "text":
         print(f"gamma = {cert.value}")
         print("set =", " ".join(str(v) for v in cert.vertices))

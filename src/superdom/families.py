@@ -14,17 +14,27 @@ checks attach compositions at specific vertices:
 * complete bipartite K_{a,b}: first part 0..a-1, second part a..a+b-1;
 * stars K_{1,n}: centre 0, leaves 1..n;
 * friendship F_n: centre 0 with the n triangles {0, 2i-1, 2i}.
+
+Every command imports this module, since ``cli.build_parser`` reads
+:data:`FAMILY_KINDS` for ``gen``'s choices, so it imports at the top only
+what building the table needs.  ``fractions`` (which loads ``decimal``) is
+imported in :func:`_as_probability`, and ``hashlib.blake2b`` (which loads
+OpenSSL) in :func:`gnp_random_graph`, so only ``gen gnp_random`` and the
+harness load them.  The ``blake2b`` import runs once per graph, not once
+per vertex pair in the draw loop, where even a cached import statement
+costs measurable time.
 """
 
 from __future__ import annotations
 
-import hashlib
-from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, NamedTuple, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, NamedTuple, Optional, Tuple, Union
 
 from .graph import Graph
 
-RationalLike = Union[Fraction, int, str, Tuple[int, int]]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+RationalLike = Union["Fraction", int, str, Tuple[int, int]]
 
 
 def path_graph(n: int) -> Graph:
@@ -79,6 +89,8 @@ def friendship_graph(n: int) -> Graph:
 
 def _as_probability(p: RationalLike) -> Fraction:
     """The one parser of edge probabilities: a ``RationalLike`` in [0, 1]."""
+    from fractions import Fraction
+
     if isinstance(p, bool) or not isinstance(p, (Fraction, int, str, tuple)):
         raise ValueError(f"edge probability must be a fraction, an integer or a string, got {p!r}")
     try:
@@ -90,13 +102,6 @@ def _as_probability(p: RationalLike) -> Fraction:
     return p
 
 
-def _pair_draw(seed_key: bytes, counter: int) -> int:
-    digest = hashlib.blake2b(
-        counter.to_bytes(8, "little"), key=seed_key, digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "little")
-
-
 def gnp_random_graph(n: int, p: RationalLike, seed: int) -> Graph:
     """G(n,p) with a counter-based keyed BLAKE2b stream.
 
@@ -105,6 +110,8 @@ def gnp_random_graph(n: int, p: RationalLike, seed: int) -> Graph:
     held exactly as a rational.  Same (n, p, seed) gives the same edge set
     on every platform; no global RNG state is involved.
     """
+    from hashlib import blake2b
+
     if n < 0:
         raise ValueError("n must be non-negative")
     p = _as_probability(p)
@@ -114,7 +121,8 @@ def gnp_random_graph(n: int, p: RationalLike, seed: int) -> Graph:
     t = 0
     for u in range(n):
         for v in range(u + 1, n):
-            if _pair_draw(seed_key, t) * den < num << 64:
+            draw = blake2b(t.to_bytes(8, "little"), key=seed_key, digest_size=8).digest()
+            if int.from_bytes(draw, "little") * den < num << 64:
                 edges.append((u, v))
             t += 1
     return Graph(n, edges)
@@ -177,7 +185,7 @@ FAMILIES: Dict[str, Family] = {
         check_id="T_Fn", value=lambda k: k + 1,
     ),
     "gnp_random": Family(
-        lambda n, num, den, seed: gnp_random_graph(n, Fraction(num, den), seed),
+        lambda n, num, den, seed: gnp_random_graph(n, (num, den), seed),
         ("n", "p_numerator", "p_denominator", "seed"),
     ),
 }

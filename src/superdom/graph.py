@@ -10,9 +10,13 @@ compare structurally, so they can be shared across workers freely.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 DEFAULT_ISO_GUARD = 12
+# A graph's bitmasks take up to n*n/8 bytes, so 2**14 vertices cap them at
+# 32 MiB, and an edge-list header alone can never ask for an O(n) table
+# the machine cannot hold.
+MAX_ORDER = 1 << 14
 
 
 class SizeGuardError(ValueError):
@@ -105,6 +109,8 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
+        if n > MAX_ORDER:
+            raise ValueError(f"vertex count {n} exceeds the maximum order of {MAX_ORDER}")
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -207,13 +213,16 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def read_edge_list(text: str) -> Graph:
+def read_edge_list(text: str, guard: Optional[int] = None, what: str = "") -> Graph:
     """Parse the edge-list text format.
 
     Format: a header line ``n m`` followed by exactly ``m`` lines ``u v``
     with distinct endpoints in 0..n-1.  Duplicate edges (in either
     orientation), self-loops, bad indices and count mismatches are all
-    rejected.
+    rejected.  With ``guard``, an order above it raises
+    :class:`SizeGuardError` for ``what`` once the text has parsed and
+    before the graph is built, so a solve refuses a file it would not
+    take without first allocating per vertex.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
@@ -250,6 +259,8 @@ def read_edge_list(text: str) -> Graph:
             raise EdgeListError(f"duplicate edge ({u}, {v})")
         seen.add(key)
         edges.append(key)
+    if guard is not None and n > guard:
+        raise SizeGuardError(what, n, guard)
     return Graph(n, edges)
 
 

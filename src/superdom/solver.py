@@ -48,6 +48,8 @@ from .graph import Graph, SizeGuardError, VertexSet
 
 DEFAULT_GUARD = 24
 BRUTEFORCE_GUARD = 16
+SP_SEARCH = "exact super domination search"
+DOM_SEARCH = "exact domination search"
 
 SetLike = Union[VertexSet, Iterable[int]]
 
@@ -246,7 +248,7 @@ def gamma_sp(g: Graph, guard: int = DEFAULT_GUARD) -> SuperDomCertificate:
     can only be dominated from inside, so edgeless graphs (including K_1)
     come back with value n.
     """
-    _check_input(g, guard, "exact super domination search")
+    _check_input(g, guard, SP_SEARCH)
     comp_mask = 0
     for comp in g.components():
         sub = g.induced_subgraph(comp)
@@ -297,7 +299,7 @@ def _min_dominating(adj: Tuple[int, ...], n: int) -> Tuple[int, ...]:
 
 def gamma(g: Graph, guard: int = DEFAULT_GUARD) -> DomCertificate:
     """Minimum dominating set of ``g`` (lexicographically smallest one)."""
-    _check_input(g, guard, "exact domination search")
+    _check_input(g, guard, DOM_SEARCH)
     chosen = []
     for comp in g.components():
         sub = g.induced_subgraph(comp)

@@ -252,6 +252,45 @@ SMALL_CONFIG = {
 }
 
 
+class TestOversizedHeader:
+    """A header order no graph can hold is refused before the graph is built."""
+
+    @pytest.fixture
+    def huge(self, tmp_path):
+        return write_graph_file(tmp_path, "huge.el", "1000000000000 0\n")
+
+    @pytest.mark.parametrize("command, search", [
+        ("gamma", "exact domination search"),
+        ("gamma-sp", "exact super domination search"),
+    ])
+    def test_solve_is_guard_exit(self, huge, command, search, capsys):
+        assert main([command, huge]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {search}: n=1000000000000 exceeds the size guard of 24\n"
+
+    @pytest.mark.parametrize("argv", [["check", "{}", "--set", "0"], ["op", "odot", "{}", "0"]])
+    def test_check_and_op_are_usage_errors(self, huge, argv, capsys):
+        assert main([a.format(huge) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: vertex count 1000000000000 exceeds the maximum order of 16384\n"
+
+    @pytest.mark.parametrize("command, search", [
+        ("gamma", "exact domination search"),
+        ("gamma-sp", "exact super domination search"),
+    ])
+    def test_over_guard_path_message_unchanged(self, tmp_path, command, search, capsys):
+        edges = "\n".join(f"{i} {i+1}" for i in range(29))
+        p30 = write_graph_file(tmp_path, "p30.el", f"30 29\n{edges}\n")
+        assert main([command, p30]) == 3
+        assert capsys.readouterr().err == f"error: {search}: n=30 exceeds the size guard of 24\n"
+
+    def test_malformed_body_above_guard_stays_a_parse_error(self, tmp_path):
+        bad = write_graph_file(tmp_path, "bad30.el", "30 1\n0 0\n")
+        assert main(["gamma", bad]) == 2
+
+
 class TestVerify:
     def test_small_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -420,9 +459,16 @@ def test_cli_imports_only_stdlib():
     assert loaded and loaded <= set(sys.stdlib_module_names), loaded - set(sys.stdlib_module_names)
 
 
+HEAVY_STDLIB = {"dataclasses", "hashlib", "_hashlib", "fractions", "decimal"}
+HASHING_AND_RATIONALS = {"hashlib", "_hashlib", "fractions", "decimal"}
+
+
 def _modules_loaded(code):
-    """The ``superdom`` submodules and ``dataclasses`` loaded once ``code`` ran."""
-    code += "\nimport sys; print(); print(*sorted(m for m in sys.modules if m.startswith(('superdom.', 'dataclasses'))))"
+    """The ``superdom`` submodules and the ``HEAVY_STDLIB`` modules loaded once ``code`` ran."""
+    code += (
+        "\nimport sys; print()"
+        f"\nprint(*sorted(m for m in sys.modules if m.startswith('superdom.') or m in {HEAVY_STDLIB!r}))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
@@ -446,6 +492,23 @@ class TestImportBudget:
         loaded = _modules_loaded("from superdom.cli import main\nassert main(['gen', 'path', '5']) == 0")
         assert "superdom.families" in loaded
         assert not loaded & {"superdom.theorems", "superdom.ops"}
+
+    def test_solve_commands_load_neither_hashlib_nor_fractions(self, p5):
+        commands = [["gamma", p5], ["gamma-sp", p5], ["check", p5, "--set", "0,2,4"]]
+        code = (
+            "from superdom.cli import main\n"
+            f"codes = [main(argv) for argv in {commands!r}]\n"
+            "assert codes == [0, 0, 0], codes"
+        )
+        assert not _modules_loaded(code) & HASHING_AND_RATIONALS
+
+    def test_gen_path_loads_neither_hashlib_nor_fractions(self):
+        loaded = _modules_loaded("from superdom.cli import main\nassert main(['gen', 'path', '5']) == 0")
+        assert not loaded & HASHING_AND_RATIONALS
+
+    def test_gen_gnp_random_imports_what_it_draws_with(self):
+        loaded = _modules_loaded("from superdom.cli import main\nassert main(['gen', 'gnp_random', '8', '1/2']) == 0")
+        assert HASHING_AND_RATIONALS <= loaded
 
     def test_bare_package_import_loads_no_layer(self):
         assert _modules_loaded("import superdom") == set()

@@ -17,6 +17,7 @@ from superdom import (
     read_edge_list,
     write_edge_list,
 )
+from superdom.graph import MAX_ORDER
 
 
 class TestConstruction:
@@ -28,6 +29,11 @@ class TestConstruction:
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
             Graph(2, [(0, 0)])
+
+    def test_order_ceiling(self):
+        assert Graph(MAX_ORDER).n == MAX_ORDER
+        with pytest.raises(ValueError, match="maximum order"):
+            Graph(10**12)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(IndexError):
@@ -148,6 +154,15 @@ class TestEdgeList:
     @given(graphs(max_n=10))
     def test_round_trip(self, g):
         assert read_edge_list(write_edge_list(g)) == g
+
+    def test_guard_refuses_the_header_order(self):
+        assert read_edge_list("3 2\n0 1\n1 2", guard=3) == path_graph(3)
+        with pytest.raises(SizeGuardError, match="^scan: n=1000000000000 exceeds the size guard of 24$"):
+            read_edge_list("1000000000000 0", guard=24, what="scan")
+
+    def test_guard_comes_after_the_body_checks(self):
+        with pytest.raises(EdgeListError, match="self-loop"):
+            read_edge_list("30 1\n0 0", guard=24, what="scan")
 
 
 class TestIsomorphism:

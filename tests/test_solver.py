@@ -322,6 +322,20 @@ class TestRelabelling:
         assert is_dominating(h, [pi[v] for v in gamma(g).vertices])
 
 
+class TestUnion:
+    """Metamorphic check: components are solved apart, so the certificates
+    of G ⊔ H are G's joined with H's shifted by G.n."""
+
+    @given(graphs(), graphs())
+    @settings(deadline=None)
+    def test_certificates_join(self, g, h):
+        joined = disjoint_union(g, h).graph
+        cg, ch, cu = gamma_sp(g), gamma_sp(h), gamma_sp(joined)
+        assert list(cu.vertices) == list(cg.vertices) + [g.n + v for v in ch.vertices]
+        assert cu.witnesses == {**cg.witnesses, **{g.n + u: g.n + v for u, v in ch.witnesses.items()}}
+        assert list(gamma(joined).vertices) == list(gamma(g).vertices) + [g.n + v for v in gamma(h).vertices]
+
+
 class TestBruteforce:
     def test_examples(self):
         assert gamma_sp_bruteforce(cycle_graph(4)) == 2

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -131,6 +132,29 @@ class TestVertexOpChecks:
                     assert check_odot(g, v).holds
                     assert check_contract(g, v).holds
                     assert check_combined_corollary(g, v).holds
+
+    def test_atlas_sweep(self):
+        # every graph on 1..7 vertices, up to isomorphism, at every
+        # non-isolated vertex; the counts pin how often each bound is tight,
+        # so a solver regression cannot hide behind rows that still hold
+        nx = pytest.importorskip("networkx")
+        atlas = [Graph(h.number_of_nodes(), list(h.edges())) for h in nx.graph_atlas_g()[1:]]
+        rows, tight, failed = Counter(), Counter(), []
+        for g in atlas:
+            for v in range(g.n):
+                deg = g.degree(v)
+                reports = [check_odot(g, v)] if deg else []
+                if deg >= 2:
+                    reports.append(check_contract(g, v))
+                for r in reports:
+                    rows[r.theorem_id] += 1
+                    tight[r.theorem_id] += r.lhs == r.rhs
+                    if not r.holds:
+                        failed.append(r.instance)
+        assert len(atlas) == 1252
+        assert failed == []
+        assert rows == {"T_odot": 7202, "T_Gv": 7202, "P_odot_pendant": 977}
+        assert tight == {"T_odot": 3413, "T_Gv": 2083, "P_odot_pendant": 977}
 
 
 class TestChainChecks:
