@@ -252,6 +252,9 @@ SMALL_CONFIG = {
 }
 
 
+SOLVE_SEARCHES = [("gamma", "exact domination search"), ("gamma-sp", "exact super domination search")]
+
+
 class TestOversizedHeader:
     """A header order no graph can hold is refused before the graph is built."""
 
@@ -259,10 +262,7 @@ class TestOversizedHeader:
     def huge(self, tmp_path):
         return write_graph_file(tmp_path, "huge.el", "1000000000000 0\n")
 
-    @pytest.mark.parametrize("command, search", [
-        ("gamma", "exact domination search"),
-        ("gamma-sp", "exact super domination search"),
-    ])
+    @pytest.mark.parametrize("command, search", SOLVE_SEARCHES)
     def test_solve_is_guard_exit(self, huge, command, search, capsys):
         assert main([command, huge]) == 3
         captured = capsys.readouterr()
@@ -276,19 +276,12 @@ class TestOversizedHeader:
         assert captured.out == ""
         assert captured.err == "error: vertex count 1000000000000 exceeds the maximum order of 16384\n"
 
-    @pytest.mark.parametrize("command, search", [
-        ("gamma", "exact domination search"),
-        ("gamma-sp", "exact super domination search"),
-    ])
+    @pytest.mark.parametrize("command, search", SOLVE_SEARCHES)
     def test_over_guard_path_message_unchanged(self, tmp_path, command, search, capsys):
         edges = "\n".join(f"{i} {i+1}" for i in range(29))
         p30 = write_graph_file(tmp_path, "p30.el", f"30 29\n{edges}\n")
         assert main([command, p30]) == 3
         assert capsys.readouterr().err == f"error: {search}: n=30 exceeds the size guard of 24\n"
-
-    def test_malformed_body_above_guard_stays_a_parse_error(self, tmp_path):
-        bad = write_graph_file(tmp_path, "bad30.el", "30 1\n0 0\n")
-        assert main(["gamma", bad]) == 2
 
 
 class TestVerify:
@@ -459,8 +452,8 @@ def test_cli_imports_only_stdlib():
     assert loaded and loaded <= set(sys.stdlib_module_names), loaded - set(sys.stdlib_module_names)
 
 
-HEAVY_STDLIB = {"dataclasses", "hashlib", "_hashlib", "fractions", "decimal"}
 HASHING_AND_RATIONALS = {"hashlib", "_hashlib", "fractions", "decimal"}
+HEAVY_STDLIB = {"dataclasses"} | HASHING_AND_RATIONALS
 
 
 def _modules_loaded(code):
@@ -474,17 +467,21 @@ def _modules_loaded(code):
     return set(proc.stdout.splitlines()[-1].split())
 
 
+def _solve_commands(path):
+    """Code that runs ``gamma``, ``gamma-sp`` and ``check`` on ``path`` through ``cli.main``."""
+    commands = [["gamma", path], ["gamma-sp", path], ["check", path, "--set", "0,2,4"]]
+    return (
+        "from superdom.cli import main\n"
+        f"codes = [main(argv) for argv in {commands!r}]\n"
+        "assert codes == [0, 0, 0], codes"
+    )
+
+
 class TestImportBudget:
     """Each command loads only the layers it runs."""
 
     def test_solve_commands_load_neither_ops_nor_the_harness(self, p5):
-        commands = [["gamma", p5], ["gamma-sp", p5], ["check", p5, "--set", "0,2,4"]]
-        code = (
-            "from superdom.cli import main\n"
-            f"codes = [main(argv) for argv in {commands!r}]\n"
-            "assert codes == [0, 0, 0], codes"
-        )
-        loaded = _modules_loaded(code)
+        loaded = _modules_loaded(_solve_commands(p5))
         assert {"superdom.graph", "superdom.solver"} <= loaded
         assert not loaded & {"superdom.theorems", "superdom.ops", "dataclasses"}
 
@@ -494,13 +491,7 @@ class TestImportBudget:
         assert not loaded & {"superdom.theorems", "superdom.ops"}
 
     def test_solve_commands_load_neither_hashlib_nor_fractions(self, p5):
-        commands = [["gamma", p5], ["gamma-sp", p5], ["check", p5, "--set", "0,2,4"]]
-        code = (
-            "from superdom.cli import main\n"
-            f"codes = [main(argv) for argv in {commands!r}]\n"
-            "assert codes == [0, 0, 0], codes"
-        )
-        assert not _modules_loaded(code) & HASHING_AND_RATIONALS
+        assert not _modules_loaded(_solve_commands(p5)) & HASHING_AND_RATIONALS
 
     def test_gen_path_loads_neither_hashlib_nor_fractions(self):
         loaded = _modules_loaded("from superdom.cli import main\nassert main(['gen', 'path', '5']) == 0")
