@@ -4,7 +4,10 @@
 generator, parameter names, distinguished vertices, the parameter grid
 the harness draws from, and the closed form of gamma_sp with the check
 identifier that verifies it.  ``gen``, :func:`build_family`,
-``theorems.family_pool`` and ``theorems.check_closed_forms`` all read it.
+``theorems.family_pool``, ``theorems.check_closed_forms`` and the
+sharpness checks all read it.  The generators hand :class:`Graph` lazy
+edge iterables, so an order above ``graph.MAX_ORDER`` is refused before
+any edge is built.
 
 Labelling conventions are part of the contract here, since downstream
 checks attach compositions at specific vertices:
@@ -41,35 +44,35 @@ def path_graph(n: int) -> Graph:
     """Path P_n on n >= 1 vertices."""
     if n < 1:
         raise ValueError(f"path needs n >= 1, got {n}")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n: int) -> Graph:
     """Cycle C_n on n >= 3 vertices."""
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def complete_graph(n: int) -> Graph:
     """Complete graph K_n on n >= 1 vertices."""
     if n < 1:
         raise ValueError(f"complete graph needs n >= 1, got {n}")
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Graph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def complete_bipartite_graph(a: int, b: int) -> Graph:
     """Complete bipartite K_{a,b} with parts 0..a-1 and a..a+b-1."""
     if min(a, b) < 1:
         raise ValueError(f"complete bipartite needs both parts >= 1, got ({a}, {b})")
-    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    return Graph(a + b, ((i, a + j) for i in range(a) for j in range(b)))
 
 
 def star_graph(n: int) -> Graph:
     """Star K_{1,n}: centre 0 joined to leaves 1..n."""
     if n < 1:
         raise ValueError(f"star needs n >= 1 leaves, got {n}")
-    return Graph(n + 1, [(0, i) for i in range(1, n + 1)])
+    return Graph(n + 1, ((0, i) for i in range(1, n + 1)))
 
 
 def friendship_graph(n: int) -> Graph:
@@ -80,11 +83,8 @@ def friendship_graph(n: int) -> Graph:
     """
     if n < 1:
         raise ValueError(f"friendship graph needs n >= 1, got {n}")
-    edges = []
-    for i in range(1, n + 1):
-        a, b = 2 * i - 1, 2 * i
-        edges += [(0, a), (0, b), (a, b)]
-    return Graph(2 * n + 1, edges)
+    triangles = ((2 * i - 1, 2 * i) for i in range(1, n + 1))
+    return Graph(2 * n + 1, (e for a, b in triangles for e in ((0, a), (0, b), (a, b))))
 
 
 def _as_probability(p: RationalLike) -> Fraction:
@@ -117,15 +117,17 @@ def gnp_random_graph(n: int, p: RationalLike, seed: int) -> Graph:
     p = _as_probability(p)
     seed_key = (seed % (1 << 64)).to_bytes(8, "little")
     num, den = p.numerator, p.denominator
-    edges = []
-    t = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            draw = blake2b(t.to_bytes(8, "little"), key=seed_key, digest_size=8).digest()
-            if int.from_bytes(draw, "little") * den < num << 64:
-                edges.append((u, v))
-            t += 1
-    return Graph(n, edges)
+
+    def edges() -> Iterator[Tuple[int, int]]:
+        t = 0
+        for u in range(n):
+            for v in range(u + 1, n):
+                draw = blake2b(t.to_bytes(8, "little"), key=seed_key, digest_size=8).digest()
+                if int.from_bytes(draw, "little") * den < num << 64:
+                    yield u, v
+                t += 1
+
+    return Graph(n, edges())
 
 
 class Family(NamedTuple):

@@ -67,9 +67,6 @@ class VertexSet:
         full = (1 << self.owner_n) - 1
         return VertexSet.from_mask(self.owner_n, full ^ self.mask)
 
-    def members(self) -> Tuple[int, ...]:
-        return tuple(self)
-
     def __contains__(self, v: int) -> bool:
         return 0 <= v < self.owner_n and (self.mask >> v) & 1 == 1
 
@@ -99,9 +96,11 @@ class Graph:
     """Immutable undirected simple graph on vertices 0..n-1.
 
     Construction rejects self-loops and out-of-range endpoints; repeated
-    edges collapse silently (adjacency is a set).  ``adj[v]`` is the
-    neighbourhood bitmask of ``v`` and is part of the public surface for
-    the solvers.
+    edges collapse silently (adjacency is a set).  The order is checked
+    against :data:`MAX_ORDER` before any edge is read, so a generator can
+    hand over its edges lazily and an oversized order builds none.
+    ``adj[v]`` is the neighbourhood bitmask of ``v`` and is part of the
+    public surface for the solvers.
     """
 
     __slots__ = ("n", "adj", "m")
@@ -132,18 +131,9 @@ class Graph:
         self._check_vertex(v)
         return VertexSet.from_mask(self.n, self.adj[v])
 
-    def closed_neighbors(self, v: int) -> VertexSet:
-        """Closed neighbourhood: the open neighbourhood plus ``v`` itself."""
-        self._check_vertex(v)
-        return VertexSet.from_mask(self.n, self.adj[v] | (1 << v))
-
     def degree(self, v: int) -> int:
         self._check_vertex(v)
         return self.adj[v].bit_count()
-
-    def is_pendant(self, v: int) -> bool:
-        """True iff ``v`` has exactly one neighbour."""
-        return self.degree(v) == 1
 
     def edges(self) -> List[Tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, sorted."""

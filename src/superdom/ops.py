@@ -5,7 +5,8 @@ All operations are pure: they take immutable graphs and return fresh ones.
 Compositions relabel into a dense 0..n-1 range and always report the
 per-part relabelling maps, so callers can locate attachment vertices in
 the result.  An identified vertex keeps the smallest index it received
-while parts are placed left to right.
+while parts are placed left to right.  A bouquet is the chain of its parts
+with y = x in every part, so :func:`chain` places the vertices of both.
 """
 
 from __future__ import annotations
@@ -112,29 +113,13 @@ def chain(parts: Sequence[Tuple[Graph, int, int]]) -> CompositionResult:
 def bouquet(parts: Sequence[Tuple[Graph, int]]) -> CompositionResult:
     """Identify the chosen vertex of every part into one shared vertex.
 
-    Each part is a (graph, x) pair; the shared vertex keeps the index the
-    first part's x received, and ``merged`` holds exactly that index.
-    A bouquet of two parts coincides with the chain of those two parts.
+    Each part is a (graph, x) pair.  The bouquet is the chain of the parts
+    with y = x in every part: each x is glued to the previous part's x,
+    which is already the shared vertex.  The shared vertex keeps the index
+    the first part's x received, and ``merged`` holds exactly that index,
+    for a single part too.
     """
     if not parts:
         raise ValueError("bouquet needs at least one part")
-    for i, (g, x) in enumerate(parts):
-        _check_attach(i, g, x)
-
-    maps: List[Tuple[int, ...]] = []
-    edges: List[Tuple[int, int]] = []
-    next_free = 0
-    hub = -1
-    for i, (g, x) in enumerate(parts):
-        mp = [-1] * g.n
-        if i > 0:
-            mp[x] = hub
-        for v in range(g.n):
-            if mp[v] < 0:
-                mp[v] = next_free
-                next_free += 1
-        if i == 0:
-            hub = mp[x]
-        maps.append(tuple(mp))
-        edges += [(mp[a], mp[b]) for a, b in g.edges()]
-    return CompositionResult(Graph(next_free, edges), tuple(maps), (hub,))
+    comp = chain([(g, x, x) for g, x in parts])
+    return comp._replace(merged=(comp.vertex_maps[0][parts[0][1]],))

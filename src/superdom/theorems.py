@@ -28,7 +28,9 @@ P_union                 additivity over disjoint unions
 T_chain2, C_chain_n     sum-minus-(parts) sandwich for chains
 P_bouquet2, T_bouquet3, C_bouquet_n
                         sum-minus-(parts-1) sandwich for bouquets
-R_*                     sharpness witnesses achieving a bound with equality
+R_*                     sharpness witnesses achieving a bound with equality;
+                        each is a family member, whose value and label
+                        come from ``families.FAMILIES``
 """
 
 from __future__ import annotations
@@ -348,31 +350,30 @@ def check_bouquet(
 # Sharpness witnesses
 
 
+def _check_sharp(tid: str, instance: str, graph: Graph, bound: int, kind: str, param: int, guard: int) -> TheoremReport:
+    """``graph`` is the family member ``kind(param)`` and achieves ``bound``:
+    its gamma_sp equals both the family's closed form and the bound."""
+    target = families.build_family(kind, (param,))
+    val = _sdom_cert(graph, guard).value
+    iso = is_isomorphic(graph, target.graph, max_n=max(DEFAULT_ISO_GUARD, graph.n))
+    rows = [(val, "==", families.FAMILIES[kind].value(param)), (val, "==", bound), (int(iso), "==", 1)]
+    return _report(tid, instance, rows, {"isomorphic_to": target.label()})
+
+
 def check_odot_sharp(k: int, guard: int = solver.DEFAULT_GUARD) -> TheoremReport:
     """Clearing around a friendship centre turns F_k into the star K_{1,2k},
     achieving the clearing bound with equality."""
     f = families.friendship_graph(k)
-    cleared = ops.odot(f, 0)
-    base = _sdom_cert(f, guard).value
-    val = _sdom_cert(cleared, guard).value
-    iso = is_isomorphic(cleared, families.star_graph(2 * k), max_n=max(DEFAULT_ISO_GUARD, 2 * k + 1))
-    rows = [
-        (val, "==", 2 * k),
-        (val, "==", base + (2 * k) // 2 - 1),
-        (int(iso), "==", 1),
-    ]
-    return _report("R_odot_sharp", f"odot(friendship({k}),v=0)", rows, {"isomorphic_to": f"star({2 * k})"})
+    bound = _sdom_cert(f, guard).value + f.degree(0) // 2 - 1
+    return _check_sharp("R_odot_sharp", f"odot(friendship({k}),v=0)", ops.odot(f, 0), bound, "star", 2 * k, guard)
 
 
 def check_chain_sharp_upper(guard: int = solver.DEFAULT_GUARD) -> TheoremReport:
     """Two paths P_3 chained at their middles give K_{1,4} and hit the upper bound."""
     p3 = families.path_graph(3)
     comp = ops.chain([(p3, 1, 1), (p3, 1, 1)])
-    val = _sdom_cert(comp.graph, guard).value
-    parts_total = 2 * _sdom_cert(p3, guard).value
-    iso = is_isomorphic(comp.graph, families.star_graph(4))
-    rows = [(val, "==", 4), (val, "==", parts_total), (int(iso), "==", 1)]
-    return _report("R_chain_sharp_upper", "chain(path(3)@1,path(3)@1)", rows, {"isomorphic_to": "star(4)"})
+    bound = 2 * _sdom_cert(p3, guard).value
+    return _check_sharp("R_chain_sharp_upper", "chain(path(3)@1,path(3)@1)", comp.graph, bound, "star", 4, guard)
 
 
 def check_chain_sharp_lower(guard: int = solver.DEFAULT_GUARD) -> TheoremReport:
@@ -384,34 +385,24 @@ def check_chain_sharp_lower(guard: int = solver.DEFAULT_GUARD) -> TheoremReport:
     f4 = families.friendship_graph(4)
     f5 = families.friendship_graph(5)
     comp = ops.chain([(f4, 0, 0), (f5, 0, 0)])
-    val = _sdom_cert(comp.graph, guard).value
-    v4 = _sdom_cert(f4, guard).value
-    v5 = _sdom_cert(f5, guard).value
-    iso = is_isomorphic(comp.graph, families.friendship_graph(9), max_n=max(DEFAULT_ISO_GUARD, comp.graph.n))
-    rows = [(val, "==", 10), (val, "==", v4 + v5 - 1), (int(iso), "==", 1)]
-    return _report("R_chain_sharp_lower", "chain(friendship(4)@0,friendship(5)@0)", rows, {"isomorphic_to": "friendship(9)"})
+    bound = _sdom_cert(f4, guard).value + _sdom_cert(f5, guard).value - 1
+    return _check_sharp("R_chain_sharp_lower", "chain(friendship(4)@0,friendship(5)@0)", comp.graph, bound, "friendship", 9, guard)
 
 
 def check_bouquet_sharp_lower(k: int, guard: int = solver.DEFAULT_GUARD) -> TheoremReport:
     """k copies of F_2 glued at their centres give F_{2k} and hit the lower bound."""
     f2 = families.friendship_graph(2)
     comp = ops.bouquet([(f2, 0)] * k)
-    val = _sdom_cert(comp.graph, guard).value
-    part = _sdom_cert(f2, guard).value
-    iso = is_isomorphic(comp.graph, families.friendship_graph(2 * k), max_n=max(DEFAULT_ISO_GUARD, comp.graph.n))
-    rows = [(val, "==", 2 * k + 1), (val, "==", part * k - k + 1), (int(iso), "==", 1)]
-    return _report("R_bouquet_sharp_lower", f"bouquet({k} x friendship(2)@0)", rows, {"isomorphic_to": f"friendship({2 * k})"})
+    bound = _sdom_cert(f2, guard).value * k - k + 1
+    return _check_sharp("R_bouquet_sharp_lower", f"bouquet({k} x friendship(2)@0)", comp.graph, bound, "friendship", 2 * k, guard)
 
 
 def check_bouquet_sharp_upper(k: int, guard: int = solver.DEFAULT_GUARD) -> TheoremReport:
     """k edges glued at one endpoint give K_{1,k} and hit the upper bound."""
     p2 = families.path_graph(2)
     comp = ops.bouquet([(p2, 0)] * k)
-    val = _sdom_cert(comp.graph, guard).value
-    part = _sdom_cert(p2, guard).value
-    iso = is_isomorphic(comp.graph, families.star_graph(k), max_n=max(DEFAULT_ISO_GUARD, comp.graph.n))
-    rows = [(val, "==", k), (val, "==", part * k), (int(iso), "==", 1)]
-    return _report("R_bouquet_sharp_upper", f"bouquet({k} x path(2)@0)", rows, {"isomorphic_to": f"star({k})"})
+    bound = _sdom_cert(p2, guard).value * k
+    return _check_sharp("R_bouquet_sharp_upper", f"bouquet({k} x path(2)@0)", comp.graph, bound, "star", k, guard)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 from dataclasses import fields
@@ -219,6 +220,14 @@ class TestOp:
         captured = capsys.readouterr()
         assert is_isomorphic(read_edge_list(captured.out), star_graph(3))
 
+    def test_single_part_bouquet(self, c4, capsys):
+        assert main(["op", "bouquet", f"{c4}:2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "4 4\n0 1\n0 3\n1 2\n2 3\n"
+        sidecar = json.loads(captured.err)
+        validate(sidecar, "op_result.schema.json")
+        assert sidecar == {"order": 4, "size": 4, "vertex_maps": [[0, 1, 2, 3]], "merged": [2]}
+
     def test_union(self, p5, c4, capsys):
         assert main(["op", "union", p5, c4]) == 0
         captured = capsys.readouterr()
@@ -282,6 +291,27 @@ class TestOversizedHeader:
         p30 = write_graph_file(tmp_path, "p30.el", f"30 29\n{edges}\n")
         assert main([command, p30]) == 3
         assert capsys.readouterr().err == f"error: {search}: n=30 exceeds the size guard of 24\n"
+
+
+def _cap_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+class TestOversizedGen:
+    """A family order above ``MAX_ORDER`` is refused before any edge is built."""
+
+    @pytest.mark.parametrize("params", [["path", "1000000000000"], ["complete", "16385"], ["gnp_random", "100000", "1/2"]])
+    def test_refused_before_building(self, params):
+        # capped and timed, so a generator that builds its edges first fails
+        # here instead of exhausting the machine
+        proc = subprocess.run(
+            [sys.executable, "-m", "superdom.cli", "gen", *params],
+            capture_output=True, text=True, preexec_fn=_cap_address_space, timeout=20,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: vertex count {params[1]} exceeds the maximum order of 16384\n"
 
 
 class TestVerify:

@@ -67,21 +67,10 @@ class TestQueries:
         assert set(complete_graph(4).neighbors(0)) == {1, 2, 3}
         assert set(star_graph(5).neighbors(0)) == {1, 2, 3, 4, 5}
 
-    def test_closed_neighbors_examples(self):
-        assert set(path_graph(3).closed_neighbors(1)) == {0, 1, 2}
-        assert set(Graph(3).closed_neighbors(2)) == {2}
-        assert set(cycle_graph(4).closed_neighbors(2)) == {1, 2, 3}
-
     def test_degree_examples(self):
         assert friendship_graph(3).degree(0) == 6
         assert path_graph(2).degree(0) == 1
         assert complete_graph(6).degree(3) == 5
-
-    def test_pendant_examples(self):
-        assert path_graph(3).is_pendant(0)
-        assert not cycle_graph(5).is_pendant(2)
-        assert star_graph(4).is_pendant(1)
-        assert not star_graph(4).is_pendant(0)
 
     def test_out_of_range_queries(self):
         g = path_graph(3)

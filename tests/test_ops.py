@@ -163,6 +163,30 @@ class TestBouquet:
         c = chain([(g1, 0, 2), (g2, 1, 0)])
         assert b.graph == c.graph
 
+    def test_three_parts_exact_output(self):
+        # the hub is the first part's x (index 2, the first part keeps its
+        # labels); the other vertices get fresh indices in part order
+        res = bouquet([(path_graph(3), 2), (cycle_graph(4), 1), (path_graph(2), 0)])
+        assert res.vertex_maps == ((0, 1, 2), (3, 2, 4, 5), (2, 6))
+        assert res.merged == (2,)
+        assert res.graph.n == 7
+        assert res.graph.edges() == [(0, 1), (1, 2), (2, 3), (2, 4), (2, 6), (3, 5), (4, 5)]
+
+    def test_single_part_keeps_its_hub(self):
+        g = cycle_graph(5)
+        res = bouquet([(g, 3)])
+        assert res.graph == g
+        assert res.vertex_maps == (tuple(range(5)),)
+        assert res.merged == (3,)
+
+    def test_attach_index_error(self):
+        with pytest.raises(IndexError, match=r"^attach vertex 4 out of range for part 1 \(n=3\)$"):
+            bouquet([(path_graph(2), 0), (path_graph(3), 4)])
+
+    def test_empty_spec_rejected(self):
+        with pytest.raises(ValueError, match="^bouquet needs at least one part$"):
+            bouquet([])
+
     def test_merged_single_hub(self):
         res = bouquet([(path_graph(3), 2), (cycle_graph(3), 0), (path_graph(2), 1)])
         assert res.merged == (2,)

@@ -1,6 +1,9 @@
-"""The package namespace: every public name resolves, lazily, to its home module."""
+"""The package namespace: every public name resolves, lazily, to its home
+module; and no source module checks an invariant with `assert`."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -38,3 +41,14 @@ def test_rebinding_in_the_home_module_stays_visible(monkeypatch):
     replacement = object()
     monkeypatch.setattr(solver, "gamma", replacement)
     assert superdom.gamma is replacement
+
+
+SOURCES = sorted(Path(superdom.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_invariants_are_raised_not_asserted(path):
+    # python -O drops assert statements, so a checked invariant must raise
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name} uses assert at lines {lines}"
