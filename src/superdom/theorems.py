@@ -25,12 +25,18 @@ T_odot, T_Gv            gamma_sp(op(G,v)) <= gamma_sp(G) + floor(deg/2) - 1
                         for edge clearing / clique contraction, deg(v) >= 2
 C_combined              the averaged lower bound combining T_odot and T_Gv
 P_union                 additivity over disjoint unions
-T_chain2, C_chain_n     sum-minus-(parts) sandwich for chains
+T_chain2, C_chain_n     sum - slack <= gamma_sp <= sum for chains, with
+                        slack 1 for two parts and slack = parts in general
 P_bouquet2, T_bouquet3, C_bouquet_n
-                        sum-minus-(parts-1) sandwich for bouquets
+                        the same sandwich for bouquets, slack = parts - 1
 R_*                     sharpness witnesses achieving a bound with equality;
                         each is a family member, whose value and label
                         come from ``families.FAMILIES``
+
+Each bound is stated once.  :func:`_op_slack` holds floor(deg/2) - 1 for
+the vertex operations, and :func:`_glued_sandwich` builds the chain and
+bouquet sandwich rows from the part values and a slack.  The checks and
+the sharpness witnesses take their bounds from these two.
 """
 
 from __future__ import annotations
@@ -191,6 +197,12 @@ def check_closed_forms(max_order: int = 12, guard: int = solver.DEFAULT_GUARD) -
     return [_check_closed_form(inst, guard) for _, inst in _closed_form_grid(max_order)]
 
 
+def _op_slack(deg: int) -> int:
+    """The floor(deg/2) - 1 that clearing around, or contracting, a vertex of
+    degree ``deg`` may add to gamma_sp."""
+    return deg // 2 - 1
+
+
 def check_odot(g: Graph, v: int, instance: Optional[str] = None, guard: int = solver.DEFAULT_GUARD) -> TheoremReport:
     """Edge clearing around v: equality for pendant v, the floor(deg/2)-1 bound otherwise.
 
@@ -207,7 +219,7 @@ def check_odot(g: Graph, v: int, instance: Optional[str] = None, guard: int = so
     witness = {"v": v, "degree": deg, "base_value": base}
     if deg == 1:
         return _report("P_odot_pendant", f"odot({label},v={v})", [(cleared, "==", base)], witness)
-    rows = [(cleared, "<=", base + deg // 2 - 1)]
+    rows = [(cleared, "<=", base + _op_slack(deg))]
     return _report("T_odot", f"odot({label},v={v})", rows, witness)
 
 
@@ -219,7 +231,7 @@ def check_contract(g: Graph, v: int, instance: Optional[str] = None, guard: int 
     base = _sdom_cert(g, guard).value
     contracted = _sdom_cert(ops.contract_clique(g, v), guard).value
     label = instance or _default_label(g)
-    rows = [(contracted, "<=", base + deg // 2 - 1)]
+    rows = [(contracted, "<=", base + _op_slack(deg))]
     return _report("T_Gv", f"contract({label},v={v})", rows, {"v": v, "degree": deg, "base_value": base})
 
 
@@ -232,7 +244,7 @@ def check_combined_corollary(g: Graph, v: int, instance: Optional[str] = None, g
     cleared = _sdom_cert(ops.odot(g, v), guard).value
     contracted = _sdom_cert(ops.contract_clique(g, v), guard).value
     label = instance or _default_label(g)
-    rhs = Fraction(cleared + contracted, 2) - deg // 2 + 1
+    rhs = Fraction(cleared + contracted, 2) - _op_slack(deg)
     witness = {"v": v, "degree": deg, "cleared_value": cleared, "contracted_value": contracted}
     return _report("C_combined", f"combined({label},v={v})", [(base, ">=", rhs)], witness)
 
@@ -245,10 +257,20 @@ def _check_union(g1: Graph, g2: Graph, instance: str, guard: int) -> TheoremRepo
     return _report("P_union", instance, [(total, "==", v1 + v2)], {"part_values": [v1, v2]})
 
 
-def _require_connected(parts: Sequence[Graph]) -> None:
-    for i, g in enumerate(parts):
+def _glued_sandwich(compose: Callable, parts: Sequence[Tuple], slack: int, guard: int) -> Tuple[ops.CompositionResult, List[int], List[Row]]:
+    """Glue connected parts with ``ops.chain`` or ``ops.bouquet`` and state
+    the composition bound sum - slack <= gamma_sp <= sum over the part values.
+
+    Returns the composition, the part values, and the lower and upper rows.
+    """
+    for i, (g, *_) in enumerate(parts):
         if not g.is_connected():
             raise ValueError(f"part {i} is disconnected; the composition bounds assume connected parts")
+    comp = compose(parts)
+    values = [_sdom_cert(g, guard).value for g, *_ in parts]
+    total = sum(values)
+    val = _sdom_cert(comp.graph, guard).value
+    return comp, values, [(total - slack, "<=", val), (val, "<=", total)]
 
 
 def check_chain2(
@@ -268,15 +290,12 @@ def check_chain2(
     private neighbour) is verified to super dominate the chain at size
     value1 + value2.  Other certificate shapes skip the spot check.
     """
-    _require_connected([g1, g2])
-    comp = ops.chain([(g1, y1, y1), (g2, x2, x2)])
+    comp, values, rows = _glued_sandwich(ops.chain, [(g1, y1, y1), (g2, x2, x2)], 1, guard)
     z = comp.merged[0]
     c1 = _sdom_cert(g1, guard)
     c2 = _sdom_cert(g2, guard)
-    cc = _sdom_cert(comp.graph, guard)
-    total = c1.value + c2.value
-    rows: List[Row] = [(total - 1, "<=", cc.value), (cc.value, "<=", total)]
-    witness: Dict = {"part_values": [c1.value, c2.value], "merged_vertex": z}
+    total = sum(values)
+    witness: Dict = {"part_values": values, "merged_vertex": z}
 
     out1 = c1.vertices.complement().mask
     out2 = c2.vertices.complement().mask
@@ -314,12 +333,7 @@ def check_chain_n(
     guard: int = solver.DEFAULT_GUARD,
 ) -> TheoremReport:
     """Chain of any number of connected parts: sum - k <= value <= sum."""
-    _require_connected([g for g, _, _ in parts])
-    comp = ops.chain(parts)
-    values = [_sdom_cert(g, guard).value for g, _, _ in parts]
-    total = sum(values)
-    val = _sdom_cert(comp.graph, guard).value
-    rows = [(total - len(parts), "<=", val), (val, "<=", total)]
+    comp, values, rows = _glued_sandwich(ops.chain, parts, len(parts), guard)
     label = instance or "chain(" + ",".join(f"{_default_label(g)}@{x}:{y}" for g, x, y in parts) + ")"
     return _report("C_chain_n", label, rows, {"part_values": values, "merged": list(comp.merged)})
 
@@ -334,14 +348,8 @@ def check_bouquet(
     Two- and three-part instances report under their dedicated
     identifiers; the bound itself coincides with the general form.
     """
-    _require_connected([g for g, _ in parts])
-    comp = ops.bouquet(parts)
-    values = [_sdom_cert(g, guard).value for g, _ in parts]
-    total = sum(values)
-    val = _sdom_cert(comp.graph, guard).value
-    k = len(parts)
-    tid = {2: "P_bouquet2", 3: "T_bouquet3"}.get(k, "C_bouquet_n")
-    rows = [(total - k + 1, "<=", val), (val, "<=", total)]
+    comp, values, rows = _glued_sandwich(ops.bouquet, parts, len(parts) - 1, guard)
+    tid = {2: "P_bouquet2", 3: "T_bouquet3"}.get(len(parts), "C_bouquet_n")
     label = instance or "bouquet(" + ",".join(f"{_default_label(g)}@{x}" for g, x in parts) + ")"
     return _report(tid, label, rows, {"part_values": values, "hub": comp.merged[0]})
 
@@ -364,16 +372,15 @@ def check_odot_sharp(k: int, guard: int = solver.DEFAULT_GUARD) -> TheoremReport
     """Clearing around a friendship centre turns F_k into the star K_{1,2k},
     achieving the clearing bound with equality."""
     f = families.friendship_graph(k)
-    bound = _sdom_cert(f, guard).value + f.degree(0) // 2 - 1
+    bound = _sdom_cert(f, guard).value + _op_slack(f.degree(0))
     return _check_sharp("R_odot_sharp", f"odot(friendship({k}),v=0)", ops.odot(f, 0), bound, "star", 2 * k, guard)
 
 
 def check_chain_sharp_upper(guard: int = solver.DEFAULT_GUARD) -> TheoremReport:
     """Two paths P_3 chained at their middles give K_{1,4} and hit the upper bound."""
     p3 = families.path_graph(3)
-    comp = ops.chain([(p3, 1, 1), (p3, 1, 1)])
-    bound = 2 * _sdom_cert(p3, guard).value
-    return _check_sharp("R_chain_sharp_upper", "chain(path(3)@1,path(3)@1)", comp.graph, bound, "star", 4, guard)
+    comp, _, (_, upper) = _glued_sandwich(ops.chain, [(p3, 1, 1), (p3, 1, 1)], 1, guard)
+    return _check_sharp("R_chain_sharp_upper", "chain(path(3)@1,path(3)@1)", comp.graph, upper[2], "star", 4, guard)
 
 
 def check_chain_sharp_lower(guard: int = solver.DEFAULT_GUARD) -> TheoremReport:
@@ -382,27 +389,21 @@ def check_chain_sharp_lower(guard: int = solver.DEFAULT_GUARD) -> TheoremReport:
     The composed graph has 19 vertices, so the exact solve needs the guard
     at 19 or above.
     """
-    f4 = families.friendship_graph(4)
-    f5 = families.friendship_graph(5)
-    comp = ops.chain([(f4, 0, 0), (f5, 0, 0)])
-    bound = _sdom_cert(f4, guard).value + _sdom_cert(f5, guard).value - 1
-    return _check_sharp("R_chain_sharp_lower", "chain(friendship(4)@0,friendship(5)@0)", comp.graph, bound, "friendship", 9, guard)
+    parts = [(families.friendship_graph(4), 0, 0), (families.friendship_graph(5), 0, 0)]
+    comp, _, (lower, _) = _glued_sandwich(ops.chain, parts, 1, guard)
+    return _check_sharp("R_chain_sharp_lower", "chain(friendship(4)@0,friendship(5)@0)", comp.graph, lower[0], "friendship", 9, guard)
 
 
 def check_bouquet_sharp_lower(k: int, guard: int = solver.DEFAULT_GUARD) -> TheoremReport:
     """k copies of F_2 glued at their centres give F_{2k} and hit the lower bound."""
-    f2 = families.friendship_graph(2)
-    comp = ops.bouquet([(f2, 0)] * k)
-    bound = _sdom_cert(f2, guard).value * k - k + 1
-    return _check_sharp("R_bouquet_sharp_lower", f"bouquet({k} x friendship(2)@0)", comp.graph, bound, "friendship", 2 * k, guard)
+    comp, _, (lower, _) = _glued_sandwich(ops.bouquet, [(families.friendship_graph(2), 0)] * k, k - 1, guard)
+    return _check_sharp("R_bouquet_sharp_lower", f"bouquet({k} x friendship(2)@0)", comp.graph, lower[0], "friendship", 2 * k, guard)
 
 
 def check_bouquet_sharp_upper(k: int, guard: int = solver.DEFAULT_GUARD) -> TheoremReport:
     """k edges glued at one endpoint give K_{1,k} and hit the upper bound."""
-    p2 = families.path_graph(2)
-    comp = ops.bouquet([(p2, 0)] * k)
-    bound = _sdom_cert(p2, guard).value * k
-    return _check_sharp("R_bouquet_sharp_upper", f"bouquet({k} x path(2)@0)", comp.graph, bound, "star", k, guard)
+    comp, _, (_, upper) = _glued_sandwich(ops.bouquet, [(families.path_graph(2), 0)] * k, k - 1, guard)
+    return _check_sharp("R_bouquet_sharp_upper", f"bouquet({k} x path(2)@0)", comp.graph, upper[2], "star", k, guard)
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +428,8 @@ class RandomGrid:
     parsed by ``families._as_probability``, so ``"1/4"`` is stored as a Fraction."""
 
     count: int = field(default=200, metadata={"minimum": 0})
-    n_min: int = field(default=4, metadata={"minimum": 0})
-    n_max: int = field(default=12, metadata={"minimum": 0})
+    n_min: int = field(default=4, metadata={"minimum": 1})
+    n_max: int = field(default=12, metadata={"minimum": 1})
     p_values: Tuple[Fraction, ...] = field(default=(Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)), metadata={"key": "p"})
     seed: int = field(default=42, metadata={"minimum": None})
 
@@ -619,36 +620,26 @@ def run_harness(cfg: HarnessConfig = DEFAULT_CONFIG) -> Tuple[List[TheoremReport
             x2 = _pick_vertex(cfg.random.seed, f"chain2:{i}:x2", g2.n)
             plan("T_chain2", _glued_order([g1.n, g2.n]), check_chain2, g1, y1, g2, x2, f"chain({l1}@{y1},{l2}@{x2})", guard)
 
-    if "C_chain_n" in want:
-        parts = connected_random_pool(3 * cfg.chain_samples, cfg.random.seed + 200_000, n_min=4, n_max=6)
-        for i in range(cfg.chain_samples):
-            triple = []
+    # (id, check, instance prefix, parts, samples, seed offset, n_max, vertex tag,
+    # one tag suffix per attach vertex: x and y for a chain, x for a bouquet)
+    glued = [("C_chain_n", check_chain_n, "chain", 3, cfg.chain_samples, 200_000, 6, "chainN", (":x", ":y"))]
+    glued += [
+        (tid, check_bouquet, "bouquet", k, cfg.bouquet_samples, 300_000 + 1000 * k, 5, f"bouquet:{k}", ("",))
+        for k, tid in ((2, "P_bouquet2"), (3, "T_bouquet3"), (4, "C_bouquet_n"))
+    ]
+    for tid, check, name, k, samples, offset, n_max, tag, ends in glued:
+        if tid not in want:
+            continue
+        parts = connected_random_pool(k * samples, cfg.random.seed + offset, n_min=4, n_max=n_max)
+        for i in range(samples):
+            chosen = []
             labels = []
-            for j in range(3):
-                label, g = parts[3 * i + j]
-                x = _pick_vertex(cfg.random.seed, f"chainN:{i}:{j}:x", g.n)
-                y = _pick_vertex(cfg.random.seed, f"chainN:{i}:{j}:y", g.n)
-                triple.append((g, x, y))
-                labels.append(f"{label}@{x}:{y}")
-            order = _glued_order([g.n for g, _, _ in triple])
-            plan("C_chain_n", order, check_chain_n, triple, "chain(" + ",".join(labels) + ")", guard)
-
-    if want & {"P_bouquet2", "T_bouquet3", "C_bouquet_n"}:
-        sizes = [(2, "P_bouquet2"), (3, "T_bouquet3"), (4, "C_bouquet_n")]
-        for k, tid in sizes:
-            if tid not in want:
-                continue
-            parts = connected_random_pool(k * cfg.bouquet_samples, cfg.random.seed + 300_000 + 1000 * k, n_min=4, n_max=5)
-            for i in range(cfg.bouquet_samples):
-                chosen = []
-                labels = []
-                for j in range(k):
-                    label, g = parts[k * i + j]
-                    x = _pick_vertex(cfg.random.seed, f"bouquet:{k}:{i}:{j}", g.n)
-                    chosen.append((g, x))
-                    labels.append(f"{label}@{x}")
-                order = _glued_order([g.n for g, _ in chosen])
-                plan(tid, order, check_bouquet, chosen, "bouquet(" + ",".join(labels) + ")", guard)
+            for j in range(k):
+                label, g = parts[k * i + j]
+                attach = [_pick_vertex(cfg.random.seed, f"{tag}:{i}:{j}{end}", g.n) for end in ends]
+                chosen.append((g, *attach))
+                labels.append(f"{label}@" + ":".join(map(str, attach)))
+            plan(tid, _glued_order([g.n for g, *_ in chosen]), check, chosen, f"{name}(" + ",".join(labels) + ")", guard)
 
     # Orders of the fixed witnesses: F_k has 2k+1 vertices, P_k has k.
     if "R_odot_sharp" in want:

@@ -355,10 +355,13 @@ class TestVerify:
         ([], "config must be a JSON object, got list"),
         ("x", "config must be a JSON object, got str"),
         ({"theorems": ["T1"], "random": []}, "random must be a JSON object, got list"),
+        ({"theorems": ["P_union"], "family_max_order": 1,
+          "random": {"count": 2, "n_min": 0, "n_max": 0}, "union_pairs": 2},
+         "random.n_min must be >= 1, got 0"),
     ], ids=["n_min_above_n_max", "negative_count", "empty_p", "theorems_not_list",
             "family_order_above_guard", "n_max_above_guard", "null_count", "string_count",
             "bool_union_pairs", "float_guard", "float_p", "zero_denominator_p",
-            "top_level_list", "top_level_string", "random_not_object"])
+            "top_level_list", "top_level_string", "random_not_object", "zero_vertex_grid"])
     def test_config_faults_are_usage_errors(self, config, message, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))

@@ -45,6 +45,12 @@ from superdom.theorems import (
 )
 
 
+def _atlas():
+    """Every graph on 1..7 vertices, up to isomorphism (networkx's atlas)."""
+    nx = pytest.importorskip("networkx")
+    return [Graph(h.number_of_nodes(), list(h.edges())) for h in nx.graph_atlas_g()[1:]]
+
+
 class TestSandwich:
     def test_path4(self):
         r = check_sandwich(path_graph(4))
@@ -75,6 +81,11 @@ class TestSandwich:
             g = gnp_random_graph(8, Fraction(1, 2), seed)
             if g.m and all(a for a in g.adj):
                 assert check_sandwich(g).holds
+
+    def test_atlas_sweep(self):
+        reports = [check_sandwich(g) for g in _atlas() if g.m]
+        assert len(reports) == 1245
+        assert [r.instance for r in reports if not r.holds] == []
 
 
 class TestClosedForms:
@@ -137,15 +148,14 @@ class TestVertexOpChecks:
         # every graph on 1..7 vertices, up to isomorphism, at every
         # non-isolated vertex; the counts pin how often each bound is tight,
         # so a solver regression cannot hide behind rows that still hold
-        nx = pytest.importorskip("networkx")
-        atlas = [Graph(h.number_of_nodes(), list(h.edges())) for h in nx.graph_atlas_g()[1:]]
+        atlas = _atlas()
         rows, tight, failed = Counter(), Counter(), []
         for g in atlas:
             for v in range(g.n):
                 deg = g.degree(v)
                 reports = [check_odot(g, v)] if deg else []
                 if deg >= 2:
-                    reports.append(check_contract(g, v))
+                    reports += [check_contract(g, v), check_combined_corollary(g, v)]
                 for r in reports:
                     rows[r.theorem_id] += 1
                     tight[r.theorem_id] += r.lhs == r.rhs
@@ -153,8 +163,8 @@ class TestVertexOpChecks:
                         failed.append(r.instance)
         assert len(atlas) == 1252
         assert failed == []
-        assert rows == {"T_odot": 7202, "T_Gv": 7202, "P_odot_pendant": 977}
-        assert tight == {"T_odot": 3413, "T_Gv": 2083, "P_odot_pendant": 977}
+        assert rows == {"T_odot": 7202, "T_Gv": 7202, "C_combined": 7202, "P_odot_pendant": 977}
+        assert tight == {"T_odot": 3413, "T_Gv": 2083, "C_combined": 2083, "P_odot_pendant": 977}
 
 
 class TestChainChecks:
@@ -191,6 +201,20 @@ class TestChainChecks:
         for i in range(3):
             (l1, g1), (l2, g2) = parts[2 * i], parts[2 * i + 1]
             assert check_chain2(g1, 0, g2, 0).holds
+
+    def test_two_part_atlas_sweep(self):
+        # chain2 and the two-part bouquet glue every (connected graph on 2..5
+        # vertices, vertex) pair to every other; the tight counts pin the
+        # slack of each bound row exactly
+        pairs = [(g, v) for g in _atlas() if 2 <= g.n <= 5 and g.is_connected() for v in range(g.n)]
+        assert len(pairs) == 137
+        chains = [check_chain2(g1, y1, g2, x2) for g1, y1 in pairs for g2, x2 in pairs]
+        bouquets = [check_bouquet([(g1, y1), (g2, x2)]) for g1, y1 in pairs for g2, x2 in pairs]
+        for reports in (chains, bouquets):
+            assert len(reports) == 18769
+            assert [r.instance for r in reports if not r.holds] == []
+            assert sum(r.lhs[0] == r.rhs[0] for r in reports) == 12433
+            assert sum(r.lhs[1] == r.rhs[1] for r in reports) == 6336
 
 
 class TestBouquetChecks:
