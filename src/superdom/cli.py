@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -185,7 +186,6 @@ def cmd_op(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from contextlib import nullcontext
     from dataclasses import replace
 
     from . import theorems
@@ -201,12 +201,26 @@ def cmd_verify(args) -> int:
         cfg = theorems.config_from_dict(raw)
     if args.guard_n is not None:
         cfg = replace(cfg, guard=args.guard_n)
-    # The report file is opened before the run, so an unwritable path
-    # fails before any check does.
-    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
-        reports, summary = theorems.run_harness(cfg)
-        fh.write(theorems.report_document(reports, summary, cfg))
+    created = False
     if args.out:
+        # Opened for appending before the run, so an unwritable path fails
+        # before any check does and nothing is truncated until the report
+        # is ready.  A refused or failed run removes the file only if this
+        # opening created it.
+        created = not os.path.lexists(args.out)
+        open(args.out, "a", encoding="utf-8").close()
+    try:
+        reports, summary = theorems.run_harness(cfg)
+        text = theorems.report_document(reports, summary, cfg)
+    except BaseException:
+        if created:
+            os.remove(args.out)
+        raise
+    if not args.out:
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
         if args.format == "text":
             for tid, slot in sorted(summary["per_theorem"].items()):
                 print(f"{tid}: {slot['checked']} checked, {slot['failed']} failed")

@@ -5,7 +5,10 @@ integer bitmask per vertex, which keeps the neighbourhood algebra (unions,
 intersections, complements) cheap for the exact search routines built on
 top.  Graphs and vertex sets are value types: construction validates the
 simple-graph invariants, nothing mutates afterwards, and both hash and
-compare structurally, so they can be shared across workers freely.
+compare structurally, so they can be shared across workers freely.  A
+graph derived from a valid one by mask algebra (an induced subgraph, the
+vertex surgeries of ``ops``) is built by the private ``Graph._of``, which
+takes the masks as they are and checks nothing again.
 """
 
 from __future__ import annotations
@@ -122,6 +125,19 @@ class Graph:
         self.adj = tuple(adj)
         self.m = sum(a.bit_count() for a in adj) // 2
 
+    @classmethod
+    def _of(cls, adj: Tuple[int, ...]) -> "Graph":
+        """The graph with neighbourhood masks ``adj``, built without checks.
+
+        Only for masks derived from a valid graph (symmetric, loop-free,
+        within range), as the vertex surgeries and compositions produce.
+        """
+        g = cls.__new__(cls)
+        g.n = len(adj)
+        g.adj = adj
+        g.m = sum(a.bit_count() for a in adj) // 2
+        return g
+
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
             raise IndexError(f"vertex {v} out of range 0..{self.n - 1}")
@@ -181,12 +197,17 @@ class Graph:
             if v in pos:
                 raise ValueError(f"duplicate vertex {v}")
             pos[v] = i
-        edges = []
+        keep = sum(1 << v for v in pos)
+        adj = []
         for v in vertices:
-            for u in VertexSet.from_mask(self.n, self.adj[v]):
-                if u in pos and v < u:
-                    edges.append((pos[v], pos[u]))
-        return Graph(len(vertices), edges)
+            rest = self.adj[v] & keep
+            a = 0
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                a |= 1 << pos[b.bit_length() - 1]
+            adj.append(a)
+        return Graph._of(tuple(adj))
 
     def degree_sequence(self) -> Tuple[int, ...]:
         return tuple(sorted((a.bit_count() for a in self.adj), reverse=True))

@@ -7,6 +7,11 @@ per-part relabelling maps, so callers can locate attachment vertices in
 the result.  An identified vertex keeps the smallest index it received
 while parts are placed left to right.  A bouquet is the chain of its parts
 with y = x in every part, so :func:`chain` places the vertices of both.
+
+The vertex surgeries and the disjoint union work on the neighbourhood
+masks of their already valid inputs and build the result with the private
+``Graph._of``, with no edge list and no re-validation; chains and
+bouquets relabel edge lists.
 """
 
 from __future__ import annotations
@@ -33,16 +38,12 @@ def odot(g: Graph, v: int) -> Graph:
     """Remove every edge joining two neighbours of ``v``.
 
     The vertex set is unchanged and all edges at ``v`` survive, so a
-    pendant ``v`` returns a graph equal to ``g``.
+    pendant ``v`` returns a graph equal to ``g``.  On masks: each
+    neighbour u of ``v`` keeps ``adj[u] & ~N(v)``.
     """
     g._check_vertex(v)
     nv = g.adj[v]
-    kept = [
-        (a, b)
-        for a, b in g.edges()
-        if not ((nv >> a) & 1 and (nv >> b) & 1)
-    ]
-    return Graph(g.n, kept)
+    return Graph._of(tuple(a & ~nv if nv >> u & 1 else a for u, a in enumerate(g.adj)))
 
 
 def contract_clique(g: Graph, v: int) -> Graph:
@@ -50,25 +51,29 @@ def contract_clique(g: Graph, v: int) -> Graph:
 
     Remaining vertices are compacted order-preservingly: w maps to w when
     w < v and to w-1 otherwise.  On a pendant (or isolated) ``v`` this
-    degenerates to plain vertex deletion.
+    degenerates to plain vertex deletion.  On masks: each neighbour u of
+    ``v`` gains N(v) minus u, then bit ``v`` is shifted out of every mask.
     """
     g._check_vertex(v)
-
-    def relabel(w: int) -> int:
-        return w if w < v else w - 1
-
-    edges = [(relabel(a), relabel(b)) for a, b in g.edges() if v not in (a, b)]
-    nbrs = [relabel(u) for u in g.neighbors(v)]
-    edges += [(a, b) for i, a in enumerate(nbrs) for b in nbrs[i + 1 :]]
-    return Graph(g.n - 1, edges)
+    nv = g.adj[v]
+    low = (1 << v) - 1
+    adj = []
+    for u, a in enumerate(g.adj):
+        if u == v:
+            continue
+        if nv >> u & 1:
+            a |= nv ^ (1 << u)
+        adj.append(a & low | a >> (v + 1) << v)
+    return Graph._of(tuple(adj))
 
 
 def disjoint_union(g: Graph, h: Graph) -> CompositionResult:
-    """Place ``g`` and ``h`` side by side with no edges between them."""
+    """Place ``g`` and ``h`` side by side with no edges between them: the
+    masks of ``h`` shift up by ``g.n``."""
     map_g = tuple(range(g.n))
     map_h = tuple(range(g.n, g.n + h.n))
-    edges = g.edges() + [(g.n + a, g.n + b) for a, b in h.edges()]
-    return CompositionResult(Graph(g.n + h.n, edges), (map_g, map_h), ())
+    union = Graph._of(g.adj + tuple(a << g.n for a in h.adj))
+    return CompositionResult(union, (map_g, map_h), ())
 
 
 def _check_attach(part_index: int, g: Graph, v: int) -> None:

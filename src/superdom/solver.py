@@ -20,7 +20,9 @@ is cut when fewer zero-pool vertices than members still needed have a
 neighbour among the remaining candidates.  Connected
 components are solved separately and their certificates merged, which is
 value-exact (validity of a complement is a per-component property) and
-keeps the exponent small.
+keeps the exponent small.  Both solvers split through one helper, and a
+connected graph is solved in place on its own masks, with no relabelled
+copy.
 
 The minimum dominating set search tries sizes k = 1, 2, ... in turn,
 depth first over ascending vertex choices.  It cuts a prefix in two
@@ -42,7 +44,7 @@ minimum.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from .graph import Graph, SizeGuardError, VertexSet
 
@@ -241,6 +243,16 @@ def _check_input(g: Graph, guard: int, what: str) -> None:
         raise SizeGuardError(what, g.n, guard)
 
 
+def _components(g: Graph) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """Each connected component of ``g`` as (its vertices, its masks
+    relabelled to 0..k-1 in vertex order).  A connected graph is its own
+    component and is solved in place, on ``g.adj`` itself."""
+    comps = g.components()
+    if len(comps) == 1:
+        return [(comps[0], g.adj)]
+    return [(comp, g.induced_subgraph(comp).adj) for comp in comps]
+
+
 def gamma_sp(g: Graph, guard: int = DEFAULT_GUARD) -> SuperDomCertificate:
     """Minimum super dominating set of ``g`` with its witness map.
 
@@ -250,9 +262,8 @@ def gamma_sp(g: Graph, guard: int = DEFAULT_GUARD) -> SuperDomCertificate:
     """
     _check_input(g, guard, SP_SEARCH)
     comp_mask = 0
-    for comp in g.components():
-        sub = g.induced_subgraph(comp)
-        local = _best_complement(sub.adj, sub.n)
+    for comp, adj in _components(g):
+        local = _best_complement(adj, len(adj))
         while local:
             b = local & -local
             local ^= b
@@ -301,9 +312,8 @@ def gamma(g: Graph, guard: int = DEFAULT_GUARD) -> DomCertificate:
     """Minimum dominating set of ``g`` (lexicographically smallest one)."""
     _check_input(g, guard, DOM_SEARCH)
     chosen = []
-    for comp in g.components():
-        sub = g.induced_subgraph(comp)
-        chosen += [comp[v] for v in _min_dominating(sub.adj, sub.n)]
+    for comp, adj in _components(g):
+        chosen += [comp[v] for v in _min_dominating(adj, len(adj))]
     s = VertexSet(g.n, chosen)
     return DomCertificate(s, len(s))
 

@@ -113,3 +113,32 @@ def graphs(draw, min_n=1, max_n=8):
     else:
         edges = []
     return Graph(n, edges)
+
+
+# Edge-list constructions of the surgeries, kept as an oracle for the
+# mask versions in the package: each builds its result from the edge list
+# through the validating constructor.
+
+
+def edge_list_odot(g: Graph, v: int) -> Graph:
+    nv = set(plain_neighbors(g)[v])
+    return Graph(g.n, [(a, b) for a, b in g.edges() if not (a in nv and b in nv)])
+
+
+def edge_list_contract_clique(g: Graph, v: int) -> Graph:
+    def relabel(w):
+        return w if w < v else w - 1
+
+    edges = [(relabel(a), relabel(b)) for a, b in g.edges() if v not in (a, b)]
+    nbrs = [relabel(u) for u in sorted(plain_neighbors(g)[v])]
+    edges += [(a, b) for i, a in enumerate(nbrs) for b in nbrs[i + 1:]]
+    return Graph(g.n - 1, edges)
+
+
+def edge_list_disjoint_union(g: Graph, h: Graph) -> Graph:
+    return Graph(g.n + h.n, g.edges() + [(g.n + a, g.n + b) for a, b in h.edges()])
+
+
+def edge_list_induced_subgraph(g: Graph, vertices) -> Graph:
+    pos = {v: i for i, v in enumerate(vertices)}
+    return Graph(len(vertices), [(pos[a], pos[b]) for a, b in g.edges() if a in pos and b in pos])

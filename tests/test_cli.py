@@ -447,6 +447,29 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: [Errno 2] No such file or directory")
 
+    def test_refused_run_keeps_an_existing_report(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        out.write_bytes(b'{"earlier": "report"}\n')
+        assert main(["--guard-n", "20", "verify", "--out", str(out)]) == 2
+        assert "P_union (order 23)" in capsys.readouterr().err
+        assert out.read_bytes() == b'{"earlier": "report"}\n'
+
+    def test_refused_run_leaves_no_new_report(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["--guard-n", "20", "verify", "--out", str(out)]) == 2
+        assert "P_union (order 23)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_overwrites_an_existing_report(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        out.write_text("x" * 100_000)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"theorems": ["R_chain_sharp_upper"]}))
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--config", str(cfg)]) == 0
+        assert out.read_text() == capsys.readouterr().out
+
     def test_text_summary(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"theorems": ["R_chain_sharp_upper"]}))

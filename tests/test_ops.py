@@ -2,7 +2,12 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from conftest import graphs
+from conftest import (
+    edge_list_contract_clique,
+    edge_list_disjoint_union,
+    edge_list_odot,
+    graphs,
+)
 from superdom import (
     Graph,
     bouquet,
@@ -95,6 +100,42 @@ class TestUnion:
     def test_additivity_example(self):
         res = disjoint_union(path_graph(3), path_graph(3))
         assert gamma_sp(res.graph).value == 4
+
+
+def assert_rebuilds(r: Graph) -> None:
+    """``r`` is what the validating constructor builds from its own edges:
+    symmetric, loop-free, and with the right edge count."""
+    rebuilt = Graph(r.n, r.edges())
+    assert r == rebuilt and r.m == rebuilt.m
+
+
+class TestMaskSurgeries:
+    """The mask surgeries equal the edge-list constructions, at every vertex."""
+
+    @given(graphs(max_n=10))
+    def test_odot(self, g):
+        for v in range(g.n):
+            r = odot(g, v)
+            assert r == edge_list_odot(g, v)
+            assert_rebuilds(r)
+
+    @given(graphs(max_n=10))
+    def test_contract_clique(self, g):
+        for v in range(g.n):
+            r = contract_clique(g, v)
+            assert r == edge_list_contract_clique(g, v)
+            assert_rebuilds(r)
+
+    @given(graphs(max_n=10), graphs(max_n=10))
+    def test_disjoint_union(self, g, h):
+        r = disjoint_union(g, h).graph
+        assert r == edge_list_disjoint_union(g, h)
+        assert_rebuilds(r)
+
+    def test_empty_operands(self):
+        assert disjoint_union(Graph(0), path_graph(3)).graph == path_graph(3)
+        assert disjoint_union(path_graph(3), Graph(0)).graph == path_graph(3)
+        assert contract_clique(Graph(1), 0) == Graph(0)
 
 
 class TestChain:

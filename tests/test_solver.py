@@ -336,6 +336,49 @@ class TestUnion:
         assert list(gamma(joined).vertices) == list(gamma(g).vertices) + [g.n + v for v in gamma(h).vertices]
 
 
+def _certificates(g):
+    sp, dom = gamma_sp(g), gamma(g)
+    return list(sp.vertices), sp.witnesses, list(dom.vertices)
+
+
+def _oracle_certificates(g):
+    outside = brute.plain_lexmin_max_complement(g)
+    inside = [v for v in range(g.n) if v not in outside]
+    return inside, brute.plain_smallest_witnesses(g, inside), brute.plain_lexmin_dom(g)
+
+
+class TestInPlace:
+    """A connected graph is solved on its own masks; only a graph with
+    several components is split into relabelled copies."""
+
+    @pytest.mark.parametrize("g", [
+        Graph(1), path_graph(7), cycle_graph(6), friendship_graph(3),
+        complete_bipartite_graph(2, 3), gnp_random_graph(9, Fraction(1, 2), seed=4),
+    ], ids=repr)
+    def test_connected_graph_builds_no_subgraph(self, g, monkeypatch):
+        assert g.is_connected()
+
+        def refuse(self, vertices):
+            raise AssertionError("a connected graph was copied")
+
+        monkeypatch.setattr(Graph, "induced_subgraph", refuse)
+        assert _certificates(g) == _oracle_certificates(g)
+
+    def test_disconnected_graph_still_splits(self, monkeypatch):
+        g = disjoint_union(disjoint_union(path_graph(4), cycle_graph(5)).graph, Graph(1)).graph
+        split = []
+        induced = Graph.induced_subgraph
+
+        def spy(self, vertices):
+            split.append(tuple(vertices))
+            return induced(self, vertices)
+
+        monkeypatch.setattr(Graph, "induced_subgraph", spy)
+        assert _certificates(g) == _oracle_certificates(g)
+        comps = [(0, 1, 2, 3), (4, 5, 6, 7, 8), (9,)]
+        assert split == comps + comps  # once per component, by each solver
+
+
 class TestBruteforce:
     def test_examples(self):
         assert gamma_sp_bruteforce(cycle_graph(4)) == 2

@@ -4,7 +4,9 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from superdom import (
     Graph,
@@ -325,6 +327,17 @@ class TestHarness:
             "bdaa0f731250ef624945a8fb823fa3b8e445221d6811e78e9e5f5c1a6ea0846e"
         )
 
+    def test_default_report_is_the_stdlib_encoding(self):
+        reports, summary = run_harness()
+        doc = {
+            "config": config_to_dict(DEFAULT_CONFIG),
+            "reports": [r.to_dict() for r in reports],
+            "summary": summary,
+        }
+        assert report_document(reports, summary, DEFAULT_CONFIG) == (
+            json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        )
+
     def test_default_config_selects_everything(self):
         assert set(DEFAULT_CONFIG.theorems) == set(ALL_THEOREM_IDS)
 
@@ -362,3 +375,39 @@ class TestHarness:
         for r in reports:
             assert r.holds
             assert r.lhs[0] == sum(r.witness["part_values"])
+
+
+# The value types a report holds: dicts with str keys, lists, str, bool, int.
+_report_values = st.recursive(
+    st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10 ** 60), max_value=10 ** 60)
+    | st.text()
+    | st.text(st.characters(max_codepoint=0x1F)),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestReportEmitter:
+    """The report emitter writes json.dumps(sort_keys=True, indent=2) bytes."""
+
+    @given(_report_values)
+    def test_equals_the_stdlib_encoder(self, value):
+        assert theorems._emit(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        {}, [], [{}], {"a": []}, {"b": {"c": [[], {}]}},
+        True, False, [True, 1, False, 0], -1, 2 ** 100, -(2 ** 100),
+        "", "\u00e9\u4e2d\U0001f600", "\x00\x1f\n\t\"\\",
+        {"\u00e9": 1, "e": 2, "\x01": 3, "": 4},
+    ], ids=repr)
+    def test_edge_values(self, value):
+        assert theorems._emit(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        1.5, Fraction(1, 2), {1: 2}, {"a": [0.0]}, None, (1, 2), {"a": 1, 2: 3},
+    ], ids=repr)
+    def test_refuses_types_a_report_never_holds(self, value):
+        with pytest.raises(TypeError):
+            theorems._emit(value)
