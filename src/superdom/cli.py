@@ -201,25 +201,26 @@ def cmd_verify(args) -> int:
         cfg = theorems.config_from_dict(raw)
     if args.guard_n is not None:
         cfg = replace(cfg, guard=args.guard_n)
+    out = args.out and os.path.realpath(args.out)
     created = False
-    if args.out:
+    if out:
         # Opened for appending before the run, so an unwritable path fails
         # before any check does and nothing is truncated until the report
         # is ready.  A refused or failed run removes the file only if this
-        # opening created it.
-        created = not os.path.lexists(args.out)
-        open(args.out, "a", encoding="utf-8").close()
+        # opening created it (through a dangling symlink too).
+        created = not os.path.exists(out)
+        open(out, "a", encoding="utf-8").close()
     try:
         reports, summary = theorems.run_harness(cfg)
         text = theorems.report_document(reports, summary, cfg)
     except BaseException:
         if created:
-            os.remove(args.out)
+            os.remove(out)
         raise
-    if not args.out:
+    if not out:
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
         if args.format == "text":
             for tid, slot in sorted(summary["per_theorem"].items()):

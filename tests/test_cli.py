@@ -460,6 +460,13 @@ class TestVerify:
         assert "P_union (order 23)" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_refused_run_through_a_dangling_link_leaves_no_report(self, tmp_path, capsys):
+        link = tmp_path / "r.json"
+        link.symlink_to(tmp_path / "target.json")
+        assert main(["--guard-n", "20", "verify", "--out", str(link)]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
+        assert link.is_symlink() and not link.exists()
+
     def test_run_overwrites_an_existing_report(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         out.write_text("x" * 100_000)
