@@ -30,7 +30,7 @@ _EXPORTS = {
     "ops": ("odot", "contract_clique", "disjoint_union", "chain", "bouquet", "CompositionResult"),
     "solver": (
         "is_dominating", "is_super_dominating", "super_domination_witnesses", "first_violation",
-        "gamma", "gamma_sp", "gamma_sp_bruteforce", "DomCertificate", "SuperDomCertificate",
+        "gamma", "gamma_sp", "DomCertificate", "SuperDomCertificate",
     ),
     "theorems": ("TheoremReport", "HarnessConfig", "RandomGrid", "run_harness"),
 }

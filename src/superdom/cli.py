@@ -52,12 +52,16 @@ def _emit_graph(g: Graph, out: Optional[str], sidecar: dict) -> None:
         print(_dump(sidecar), file=sys.stderr)
 
 
+def _witness_json(witnesses: dict) -> dict:
+    return {str(u): v for u, v in sorted(witnesses.items())}
+
+
+def _witness_line(witnesses: dict) -> str:
+    return "witnesses = " + " ".join(f"{u}->{v}" for u, v in sorted(witnesses.items()))
+
+
 def _cert_json(cert: solver.SuperDomCertificate) -> dict:
-    return {
-        "value": cert.value,
-        "set": list(cert.vertices),
-        "witnesses": {str(u): v for u, v in sorted(cert.witnesses.items())},
-    }
+    return {"value": cert.value, "set": list(cert.vertices), "witnesses": _witness_json(cert.witnesses)}
 
 
 def cmd_gen(args) -> int:
@@ -94,7 +98,7 @@ def cmd_gamma_sp(args) -> int:
     if args.format == "text":
         print(f"gamma_sp = {cert.value}")
         print("set =", " ".join(str(v) for v in cert.vertices))
-        print("witnesses =", " ".join(f"{u}->{v}" for u, v in sorted(cert.witnesses.items())))
+        print(_witness_line(cert.witnesses))
     else:
         print(_dump(_cert_json(cert)))
     return EXIT_OK
@@ -127,9 +131,9 @@ def cmd_check(args) -> int:
         return EXIT_VIOLATION
     if args.format == "text":
         print("super dominating")
-        print("witnesses =", " ".join(f"{u}->{v}" for u, v in sorted(witnesses.items())))
+        print(_witness_line(witnesses))
     else:
-        print(_dump({"super_dominating": True, "witnesses": {str(u): v for u, v in sorted(witnesses.items())}}))
+        print(_dump({"super_dominating": True, "witnesses": _witness_json(witnesses)}))
     return EXIT_OK
 
 

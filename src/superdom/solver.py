@@ -49,7 +49,6 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 from .graph import Graph, SizeGuardError, VertexSet
 
 DEFAULT_GUARD = 24
-BRUTEFORCE_GUARD = 16
 SP_SEARCH = "exact super domination search"
 DOM_SEARCH = "exact domination search"
 
@@ -317,18 +316,3 @@ def gamma(g: Graph, guard: int = DEFAULT_GUARD) -> DomCertificate:
     s = VertexSet(g.n, chosen)
     return DomCertificate(s, len(s))
 
-
-def gamma_sp_bruteforce(g: Graph) -> int:
-    """Independent oracle: scan all 2^n subsets, no pruning, no decomposition.
-
-    Returns only the minimum size.  Hard-guarded at n <= 16.
-    """
-    if g.n > BRUTEFORCE_GUARD:
-        raise SizeGuardError("brute-force super domination scan", g.n, BRUTEFORCE_GUARD)
-    best = g.n
-    for mask in range(1 << g.n):
-        if is_super_dominating(g, VertexSet.from_mask(g.n, mask)):
-            size = mask.bit_count()
-            if size < best:
-                best = size
-    return best

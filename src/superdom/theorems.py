@@ -23,7 +23,9 @@ T2i..T2v, T_Fn          closed forms for paths, cycles, cliques, complete
 P_odot_pendant          clearing around a pendant vertex keeps gamma_sp
 T_odot, T_Gv            gamma_sp(op(G,v)) <= gamma_sp(G) + floor(deg/2) - 1
                         for edge clearing / clique contraction, deg(v) >= 2
-C_combined              the averaged lower bound combining T_odot and T_Gv
+C_combined              the averaged lower bound combining T_odot and T_Gv;
+                        :func:`check_vertex` reports these four at one
+                        (G, v), building each surgery once
 P_union                 additivity over disjoint unions
 T_chain2, C_chain_n     sum - slack <= gamma_sp <= sum for chains, with
                         slack 1 for two parts and slack = parts in general
@@ -45,7 +47,7 @@ import hashlib
 import itertools
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -197,18 +199,25 @@ def check_closed_forms(max_order: int = 12, guard: int = solver.DEFAULT_GUARD) -
     return [_check_closed_form(inst, guard) for _, inst in _closed_form_grid(max_order)]
 
 
+# The ids check_vertex reports at a vertex of degree 0, 1, and 2 or more.
+_VERTEX_IDS = ((), ("P_odot_pendant",), ("T_odot", "T_Gv", "C_combined"))
+
+
 def _op_slack(deg: int) -> int:
     """The floor(deg/2) - 1 that clearing around, or contracting, a vertex of
     degree ``deg`` may add to gamma_sp."""
     return deg // 2 - 1
 
 
-def check_odot(g: Graph, v: int, instance: Optional[str] = None, guard: int = solver.DEFAULT_GUARD) -> TheoremReport:
-    """Edge clearing around v: equality for pendant v, the floor(deg/2)-1 bound otherwise.
+def check_vertex(g: Graph, v: int, instance: Optional[str] = None, guard: int = solver.DEFAULT_GUARD) -> List[TheoremReport]:
+    """Every vertex-operation check at v, each surgery built once.
 
-    The bound's derivation needs deg(v) >= 2, so isolated vertices are
-    rejected (clearing around them is a no-op and the bound would be
-    false).
+    A pendant v gives ``P_odot_pendant``: clearing around it keeps
+    gamma_sp.  For deg(v) >= 2, ``T_odot`` and ``T_Gv`` bound clearing and
+    contraction by gamma_sp(G) + floor(deg/2) - 1, and ``C_combined``
+    bounds gamma_sp(G) below by their average minus the same slack.  An
+    isolated v is rejected: clearing around it is a no-op and the bound
+    would be false.
     """
     deg = g.degree(v)
     if deg == 0:
@@ -218,35 +227,15 @@ def check_odot(g: Graph, v: int, instance: Optional[str] = None, guard: int = so
     label = instance or _default_label(g)
     witness = {"v": v, "degree": deg, "base_value": base}
     if deg == 1:
-        return _report("P_odot_pendant", f"odot({label},v={v})", [(cleared, "==", base)], witness)
-    rows = [(cleared, "<=", base + _op_slack(deg))]
-    return _report("T_odot", f"odot({label},v={v})", rows, witness)
-
-
-def check_contract(g: Graph, v: int, instance: Optional[str] = None, guard: int = solver.DEFAULT_GUARD) -> TheoremReport:
-    """Clique contraction of v: gamma_sp(G/v) <= gamma_sp(G) + floor(deg/2) - 1."""
-    deg = g.degree(v)
-    if deg < 2:
-        raise ValueError(f"vertex {v} has degree {deg}: the bound needs deg(v) >= 2")
-    base = _sdom_cert(g, guard).value
+        return [_report("P_odot_pendant", f"odot({label},v={v})", [(cleared, "==", base)], witness)]
     contracted = _sdom_cert(ops.contract_clique(g, v), guard).value
-    label = instance or _default_label(g)
-    rows = [(contracted, "<=", base + _op_slack(deg))]
-    return _report("T_Gv", f"contract({label},v={v})", rows, {"v": v, "degree": deg, "base_value": base})
-
-
-def check_combined_corollary(g: Graph, v: int, instance: Optional[str] = None, guard: int = solver.DEFAULT_GUARD) -> TheoremReport:
-    """gamma_sp(G) >= (gamma_sp after clearing + gamma_sp after contraction)/2 - floor(deg/2) + 1."""
-    deg = g.degree(v)
-    if deg < 2:
-        raise ValueError(f"vertex {v} has degree {deg}: the bound needs deg(v) >= 2")
-    base = _sdom_cert(g, guard).value
-    cleared = _sdom_cert(ops.odot(g, v), guard).value
-    contracted = _sdom_cert(ops.contract_clique(g, v), guard).value
-    label = instance or _default_label(g)
-    rhs = Fraction(cleared + contracted, 2) - _op_slack(deg)
-    witness = {"v": v, "degree": deg, "cleared_value": cleared, "contracted_value": contracted}
-    return _report("C_combined", f"combined({label},v={v})", [(base, ">=", rhs)], witness)
+    slack = _op_slack(deg)
+    return [
+        _report("T_odot", f"odot({label},v={v})", [(cleared, "<=", base + slack)], witness),
+        _report("T_Gv", f"contract({label},v={v})", [(contracted, "<=", base + slack)], dict(witness)),
+        _report("C_combined", f"combined({label},v={v})", [(base, ">=", Fraction(cleared + contracted, 2) - slack)],
+                {"v": v, "degree": deg, "cleared_value": cleared, "contracted_value": contracted}),
+    ]
 
 
 def _check_union(g1: Graph, g2: Graph, instance: str, guard: int) -> TheoremReport:
@@ -576,10 +565,14 @@ def run_harness(cfg: HarnessConfig = DEFAULT_CONFIG) -> Tuple[List[TheoremReport
         raise ValueError(f"family_max_order {cfg.family_max_order} exceeds the size guard {guard}")
     if cfg.random.count and cfg.random.n_max > guard:
         raise ValueError(f"random grid n_max {cfg.random.n_max} exceeds the size guard {guard}")
-    plans: List[Tuple[str, int, Callable[..., TheoremReport], Tuple]] = []
+    # (the ids an entry reports under, the largest order it solves, its run)
+    plans: List[Tuple[Sequence[str], int, Callable[[], List[TheoremReport]]]] = []
 
     def plan(tid: str, order: int, check: Callable[..., TheoremReport], *args) -> None:
-        plans.append((tid, order, check, args))
+        plans.append(((tid,), order, lambda: [check(*args)]))
+
+    def vertex_reports(g: Graph, v: int, label: str) -> List[TheoremReport]:
+        return [r for r in check_vertex(g, v, label, guard) if r.theorem_id in want]
 
     pool = family_pool(cfg.family_max_order) + random_pool(cfg.random)
 
@@ -592,20 +585,11 @@ def run_harness(cfg: HarnessConfig = DEFAULT_CONFIG) -> Tuple[List[TheoremReport
         if tid in want:
             plan(tid, inst.graph.n, _check_closed_form, inst, guard)
 
-    vertex_pool = [(label, g) for label, g in pool if g.n <= 10]
-    if want & {"P_odot_pendant", "T_odot", "T_Gv", "C_combined"}:
-        for label, g in vertex_pool:
-            for v in range(g.n):
-                deg = g.degree(v)
-                if deg == 1 and "P_odot_pendant" in want:
-                    plan("P_odot_pendant", g.n, check_odot, g, v, label, guard)
-                elif deg >= 2:
-                    if "T_odot" in want:
-                        plan("T_odot", g.n, check_odot, g, v, label, guard)
-                    if "T_Gv" in want:
-                        plan("T_Gv", g.n, check_contract, g, v, label, guard)
-                    if "C_combined" in want:
-                        plan("C_combined", g.n, check_combined_corollary, g, v, label, guard)
+    for label, g in [(label, g) for label, g in pool if g.n <= 10]:
+        for v in range(g.n):
+            ids = [tid for tid in _VERTEX_IDS[min(g.degree(v), 2)] if tid in want]
+            if ids:
+                plans.append((ids, g.n, partial(vertex_reports, g, v, label)))
 
     if "P_union" in want:
         for i in range(min(cfg.union_pairs, len(pool) // 2)):
@@ -657,14 +641,15 @@ def run_harness(cfg: HarnessConfig = DEFAULT_CONFIG) -> Tuple[List[TheoremReport
             plan("R_bouquet_sharp_upper", _glued_order([2] * k), check_bouquet_sharp_upper, k, guard)
 
     over: Dict[str, int] = {}
-    for tid, order, _, _ in plans:
+    for ids, order, _ in plans:
         if order > guard:
-            over[tid] = max(order, over.get(tid, 0))
+            for tid in ids:
+                over[tid] = max(order, over.get(tid, 0))
     if over:
         named = ", ".join(f"{tid} (order {order})" for tid, order in sorted(over.items()))
         raise ValueError(f"checks solve graphs above the size guard {guard}: {named}")
 
-    reports = [check(*args) for _, _, check, args in plans]
+    reports = [r for _, _, run in plans for r in run()]
     reports.sort(key=lambda r: (r.theorem_id, r.instance))
     per: Dict[str, Dict[str, int]] = {}
     failed = 0

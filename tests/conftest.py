@@ -2,14 +2,37 @@
 
 Deliberately written against plain Python sets and the edge list rather
 than the package's bitmask internals, so they stay an independent check
-path for the solver results.
+path for the solver results.  The one exception is
+:func:`gamma_sp_bruteforce`, which scans every subset with the package's
+set test but none of its search.
 """
 
 from itertools import combinations
 
 import hypothesis.strategies as st
 
-from superdom import Graph
+from superdom import Graph, SizeGuardError, VertexSet, is_super_dominating
+
+BRUTEFORCE_GUARD = 16
+
+
+def gamma_sp_bruteforce(g: Graph) -> int:
+    """Independent oracle: scan all 2^n subsets, no pruning, no decomposition.
+
+    Returns only the minimum size.  Hard-guarded at n <= 16.  It tests
+    each subset with ``is_super_dominating`` on masks, which is several
+    times faster than the plain-set scan of :func:`plain_min_super_dom` on
+    the acceptance pool.
+    """
+    if g.n > BRUTEFORCE_GUARD:
+        raise SizeGuardError("brute-force super domination scan", g.n, BRUTEFORCE_GUARD)
+    best = g.n
+    for mask in range(1 << g.n):
+        if is_super_dominating(g, VertexSet.from_mask(g.n, mask)):
+            size = mask.bit_count()
+            if size < best:
+                best = size
+    return best
 
 
 def plain_neighbors(g: Graph):

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import plain_min_dom
+from conftest import gamma_sp_bruteforce, plain_min_dom
 from superdom import (
     bouquet,
     chain,
@@ -20,7 +20,6 @@ from superdom import (
     friendship_graph,
     gamma,
     gamma_sp,
-    gamma_sp_bruteforce,
     is_isomorphic,
     odot,
     path_graph,
@@ -30,10 +29,8 @@ from superdom.theorems import (
     DEFAULT_CONFIG,
     check_chain2,
     check_chain_n,
-    check_combined_corollary,
-    check_contract,
-    check_odot,
     check_sandwich,
+    check_vertex,
     connected_random_pool,
     family_pool,
     random_pool,
@@ -124,9 +121,9 @@ def test_criterion_06_vertex_op_bounds_on_pool():
         for v in range(g.n):
             if g.degree(v) < 2:
                 continue
-            assert check_odot(g, v, label).holds, (label, v)
-            assert check_contract(g, v, label).holds, (label, v)
-            assert check_combined_corollary(g, v, label).holds, (label, v)
+            reports = check_vertex(g, v, label)
+            assert [r.theorem_id for r in reports] == ["T_odot", "T_Gv", "C_combined"], (label, v)
+            assert all(r.holds for r in reports), (label, v)
             pairs += 1
     assert pairs > 500
     _passed(6, f"clearing/contraction bounds and combined corollary on {pairs} (g,v) pairs")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 import conftest as brute
-from conftest import graphs
+from conftest import gamma_sp_bruteforce, graphs
 from superdom import (
     Graph,
     SizeGuardError,
@@ -21,7 +21,6 @@ from superdom import (
     friendship_graph,
     gamma,
     gamma_sp,
-    gamma_sp_bruteforce,
     gnp_random_graph,
     is_dominating,
     is_super_dominating,

@@ -3,6 +3,7 @@ import json
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 
 import hypothesis.strategies as st
 import pytest
@@ -18,7 +19,7 @@ from superdom import (
     path_graph,
     star_graph,
 )
-from superdom import theorems
+from superdom import ops, theorems
 from superdom.theorems import (
     ALL_THEOREM_IDS,
     DEFAULT_CONFIG,
@@ -32,11 +33,9 @@ from superdom.theorems import (
     check_chain_sharp_lower,
     check_chain_sharp_upper,
     check_closed_forms,
-    check_combined_corollary,
-    check_contract,
-    check_odot,
     check_odot_sharp,
     check_sandwich,
+    check_vertex,
     config_from_dict,
     config_to_dict,
     connected_random_pool,
@@ -102,49 +101,68 @@ class TestClosedForms:
         assert reports["complete_bipartite(3,3)"].lhs == (4,)
 
 
+def _vertex_reports(g, v):
+    """check_vertex's reports at (g, v), by id."""
+    return {r.theorem_id: r for r in check_vertex(g, v)}
+
+
 class TestVertexOpChecks:
     def test_odot_friendship_center_is_tight(self):
-        r = check_odot(friendship_graph(2), 0)
-        assert r.theorem_id == "T_odot" and r.holds
+        r = _vertex_reports(friendship_graph(2), 0)["T_odot"]
+        assert r.holds
         assert r.lhs == (4,) and r.rhs == (4,)
 
     def test_odot_pendant_equality(self):
-        r = check_odot(path_graph(3), 0)
+        # a pendant vertex reports the clearing equality and nothing else:
+        # no bound of the deg >= 2 checks applies to it
+        [r] = check_vertex(path_graph(3), 0)
         assert r.theorem_id == "P_odot_pendant" and r.holds
+        assert r.lhs == r.rhs == (2,)
 
     def test_odot_isolated_rejected(self):
-        with pytest.raises(ValueError, match="isolated"):
-            check_odot(Graph(3, [(0, 1)]), 2)
+        with pytest.raises(ValueError, match="vertex 2 is isolated"):
+            check_vertex(Graph(3, [(0, 1)]), 2)
 
     def test_contract_cycle4(self):
-        r = check_contract(cycle_graph(4), 0)
+        r = _vertex_reports(cycle_graph(4), 0)["T_Gv"]
         assert r.holds and r.lhs == (2,) and r.rhs == (2,)
 
     def test_contract_complete4(self):
-        r = check_contract(complete_graph(4), 0)
+        r = _vertex_reports(complete_graph(4), 0)["T_Gv"]
         assert r.holds and r.lhs == (2,) and r.rhs == (3,)
 
-    def test_contract_pendant_rejected(self):
-        with pytest.raises(ValueError, match="deg"):
-            check_contract(path_graph(3), 0)
-
     def test_combined_friendship(self):
-        r = check_combined_corollary(friendship_graph(2), 0)
+        r = _vertex_reports(friendship_graph(2), 0)["C_combined"]
         assert r.holds
         assert r.lhs == (3,)
         assert r.rhs == (Fraction(5, 2),)  # (4 + 3)/2 - 2 + 1, exact
 
     def test_combined_cycle4(self):
-        assert check_combined_corollary(cycle_graph(4), 1).holds
+        assert _vertex_reports(cycle_graph(4), 1)["C_combined"].holds
+
+    def test_rows_labels_and_witnesses(self):
+        # the report rows at the friendship centre, field by field: one
+        # clearing and one contraction feed all three
+        docs = [r.to_dict() for r in check_vertex(friendship_graph(2), 0, "friendship(2)")]
+        base = {"v": 0, "degree": 4, "base_value": 3}
+        assert docs == [
+            {"theorem_id": "T_odot", "instance": "odot(friendship(2),v=0)", "lhs": [4],
+             "relations": ["<="], "rhs": [4], "holds": True, "witness": base},
+            {"theorem_id": "T_Gv", "instance": "contract(friendship(2),v=0)", "lhs": [3],
+             "relations": ["<="], "rhs": [4], "holds": True, "witness": base},
+            {"theorem_id": "C_combined", "instance": "combined(friendship(2),v=0)", "lhs": [3],
+             "relations": [">="], "rhs": ["5/2"], "holds": True,
+             "witness": {"v": 0, "degree": 4, "cleared_value": 4, "contracted_value": 3}},
+        ]
 
     def test_random_pairs(self):
         for seed in range(6):
             g = gnp_random_graph(7, Fraction(1, 2), 100 + seed)
             for v in range(g.n):
                 if g.degree(v) >= 2:
-                    assert check_odot(g, v).holds
-                    assert check_contract(g, v).holds
-                    assert check_combined_corollary(g, v).holds
+                    reports = check_vertex(g, v)
+                    assert [r.theorem_id for r in reports] == ["T_odot", "T_Gv", "C_combined"]
+                    assert all(r.holds for r in reports)
 
     def test_atlas_sweep(self):
         # every graph on 1..7 vertices, up to isomorphism, at every
@@ -154,11 +172,7 @@ class TestVertexOpChecks:
         rows, tight, failed = Counter(), Counter(), []
         for g in atlas:
             for v in range(g.n):
-                deg = g.degree(v)
-                reports = [check_odot(g, v)] if deg else []
-                if deg >= 2:
-                    reports += [check_contract(g, v), check_combined_corollary(g, v)]
-                for r in reports:
+                for r in check_vertex(g, v) if g.degree(v) else []:
                     rows[r.theorem_id] += 1
                     tight[r.theorem_id] += r.lhs == r.rhs
                     if not r.holds:
@@ -375,6 +389,49 @@ class TestHarness:
         for r in reports:
             assert r.holds
             assert r.lhs[0] == sum(r.witness["part_values"])
+
+
+VERTEX_IDS = ("P_odot_pendant", "T_odot", "T_Gv", "C_combined")
+# the random draws run n = 4..11, so the n <= 10 cut of the vertex pool bites
+VERTEX_CONFIG = HarnessConfig(
+    theorems=VERTEX_IDS,
+    family_max_order=6,
+    random=RandomGrid(count=8, n_min=4, n_max=11, seed=5),
+)
+
+
+@lru_cache(maxsize=None)
+def _vertex_run(ids):
+    return run_harness(replace(VERTEX_CONFIG, theorems=ids))[0]
+
+
+class TestVertexHarness:
+    def test_one_clearing_and_one_contraction_per_pair(self, monkeypatch):
+        pool = family_pool(VERTEX_CONFIG.family_max_order) + random_pool(VERTEX_CONFIG.random)
+        degrees = Counter(min(g.degree(v), 2) for _, g in pool if g.n <= 10 for v in range(g.n))
+        assert degrees == {0: 6, 1: 43, 2: 109}
+        calls = Counter()
+        for name in ("odot", "contract_clique"):
+            def spy(g, v, _name=name, _op=getattr(ops, name)):
+                calls[_name] += 1
+                return _op(g, v)
+            monkeypatch.setattr(ops, name, spy)
+        reports, summary = run_harness(VERTEX_CONFIG)
+        assert summary["failed"] == 0
+        assert calls == {"odot": degrees[1] + degrees[2], "contract_clique": degrees[2]}
+        assert Counter(r.theorem_id for r in reports) == {
+            "P_odot_pendant": degrees[1], "T_odot": degrees[2], "T_Gv": degrees[2], "C_combined": degrees[2],
+        }
+        # the pendant check alone visits only the pendant vertices
+        calls.clear()
+        run_harness(replace(VERTEX_CONFIG, theorems=("P_odot_pendant",)))
+        assert calls == {"odot": degrees[1]}
+
+    @pytest.mark.parametrize("tid", VERTEX_IDS)
+    def test_selecting_one_id_reports_only_its_rows(self, tid):
+        alone = _vertex_run((tid,))
+        assert alone and {r.theorem_id for r in alone} == {tid}
+        assert alone == [r for r in _vertex_run(VERTEX_IDS) if r.theorem_id == tid]
 
 
 # The value types a report holds: dicts with str keys, lists, str, bool, int.
