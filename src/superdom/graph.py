@@ -165,26 +165,27 @@ class Graph:
         return out
 
     def components(self) -> List[Tuple[int, ...]]:
-        """Connected components as ascending vertex tuples, ordered by minimum vertex."""
-        seen = 0
-        comps = []
-        for start in range(self.n):
-            if (seen >> start) & 1:
-                continue
-            frontier = 1 << start
-            comp = 0
+        """Connected components as ascending vertex tuples, ordered by minimum
+        vertex.  Each is one mask flood, and no tuple is built before all
+        floods are done, so a connected graph costs one flood and a range."""
+        adj = self.adj
+        rest = (1 << self.n) - 1
+        masks = []
+        while rest:
+            comp = frontier = rest & -rest
             while frontier:
-                comp |= frontier
                 nxt = 0
-                f = frontier
-                while f:
-                    b = f & -f
-                    nxt |= self.adj[b.bit_length() - 1]
-                    f ^= b
+                while frontier:
+                    b = frontier & -frontier
+                    frontier ^= b
+                    nxt |= adj[b.bit_length() - 1]
                 frontier = nxt & ~comp
-            seen |= comp
-            comps.append(tuple(VertexSet.from_mask(self.n, comp)))
-        return comps
+                comp |= frontier
+            rest ^= comp
+            masks.append(comp)
+        if len(masks) == 1:
+            return [tuple(range(self.n))]
+        return [tuple(VertexSet.from_mask(self.n, comp)) for comp in masks]
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1

@@ -6,23 +6,21 @@ unique outside vertex (if N(v) lies outside S except for u, v can serve
 nobody else), so |complement| <= |S| for any valid S and no matching step
 is ever needed: a per-u existence scan is a complete check.
 
-The exact search looks for the largest valid complement.  Valid
-complements are hereditary (dropping a vertex from one only widens the
-others' witness pools), so sizes are tried upward from 1 to at most
-floor(n/2), and the first size with no valid complement ends the search.
-Each size is a depth-first search that keeps, per node, the outside
-vertices with exactly one and with several prefix neighbours, which makes
-the valid-complement test on each grown prefix incremental.  The outside
-vertices with no prefix neighbour (the zero pool) are the only possible
-witnesses of the members still to be added, which gives two more cuts:
-only candidates with a neighbour in the zero pool are tried, and a node
-is cut when fewer zero-pool vertices than members still needed have a
-neighbour among the remaining candidates.  Connected
-components are solved separately and their certificates merged, which is
-value-exact (validity of a complement is a per-component property) and
-keeps the exponent small.  Both solvers split through one helper, and a
-connected graph is solved in place on its own masks, with no relabelled
-copy.
+The exact search looks for the largest valid complement in one
+depth-first branch and bound per component, over ascending vertex
+choices.  It keeps the best complement found so far, cuts every subtree
+that cannot beat it (by the witnesses still free to serve new members,
+and by each member's last witness), and stops once the best reaches
+floor(n/2).  Valid complements are hereditary (dropping a vertex from one
+only widens the others' witness pools), so every prefix of one is met,
+and the search meets the sets of each size in lexicographic order: the
+first maximum it meets is the lexicographically smallest.
+:func:`_best_complement` states the cuts and why they keep that maximum.
+Connected components are solved separately and their certificates merged,
+which is value-exact (validity of a complement is a per-component
+property) and keeps the exponent small.  Both solvers split through one
+helper, and a connected graph is solved in place on its own masks, with
+no relabelled copy.
 
 The minimum dominating set search tries sizes k = 1, 2, ... in turn,
 depth first over ascending vertex choices.  It cuts a prefix in two
@@ -138,56 +136,82 @@ def first_violation(g: Graph, s: SetLike) -> Optional[str]:
     return found if isinstance(found, str) else None
 
 
-def _lex_first_complement(adj: Tuple[int, ...], n: int, k: int) -> Optional[int]:
-    """First (lexicographically) valid complement of size k, or None.
+def _best_complement(adj: Tuple[int, ...], n: int) -> int:
+    """Lexicographically smallest maximum-size valid complement, as a mask.
 
-    Depth-first over ascending vertex choices, so leaves are visited in
-    lexicographic set order.  Each node carries two masks over the vertices
-    outside its prefix P: ``one`` holds those with exactly one neighbour in
-    P, ``many`` those with two or more.  A vertex v outside P witnesses its
-    prefix neighbour exactly when v is in ``one``, so P is a valid
-    complement iff every member of P has a neighbour in ``one``.  Adding a
-    vertex moves its outside neighbours up one count, and only the new
-    vertex and the members whose witnesses just left ``one`` (the prefix
-    neighbours of the new vertex and of the vertices promoted to ``many``)
-    need rechecking.  The test is exact and valid complements are
-    hereditary, so a failing prefix has no valid completion and its whole
-    subtree is cut; no completable prefix is ever discarded.
+    One depth-first branch and bound over ascending vertex choices, which
+    meets the sets of each size in lexicographic order.  Each node carries
+    two masks over the vertices outside its prefix P: ``one`` holds those
+    with exactly one neighbour in P, ``many`` those with two or more.  A
+    vertex outside P witnesses its prefix neighbour exactly when it is in
+    ``one``, so P is a valid complement iff every member of P has a
+    neighbour in ``one``.  Adding a vertex moves its outside neighbours up
+    one count, and only the new vertex and the members whose witnesses
+    just left ``one`` (the prefix neighbours of the new vertex and of the
+    vertices promoted to ``many``) need rechecking.  The test is exact and
+    valid complements are hereditary, so a failing prefix has no valid
+    completion and its whole subtree is cut.
 
-    Two more cuts read the zero pool ``zero``: the vertices outside P with
-    no neighbour in P.  A member added later needs a witness whose only
-    neighbour in the final complement is that member, so the witness has
-    no neighbour in P and lies in the zero pool, which only shrinks down
-    the tree.  Hence every later member is a candidate v >= start with a
-    neighbour in the zero pool, and the loop runs over those candidates
-    only, stopping once fewer remain than members are still needed.  And
-    the witnesses of distinct members are distinct, so a node is cut when
-    fewer zero-pool vertices than members still needed have a neighbour
-    at or after ``start`` (``reach[start]``, the union of the open
-    neighbourhoods of v >= start).  Both cuts drop only subtrees without a
-    valid completion, so the leaves still come in lexicographic order.
+    Every prefix reached is valid, and one strictly larger than the best
+    so far replaces it; the search stops once the best reaches n // 2 (a
+    complement never outgrows its set, as witnesses are distinct).  The
+    cuts below drop only subtrees that hold no valid complement larger
+    than the best so far.  Any set met before the lex-first maximum M is
+    lex-smaller than M or smaller in size, so until M is met the best is
+    smaller than M and no cut drops M's subtree; M is then the first
+    maximum met, and only a strictly larger set could replace it.
+
+    Two cuts read the zero pool ``zero``: the vertices outside P with no
+    neighbour in P.  A member added later needs a witness whose only
+    neighbour in the final complement is that member, so the witness lies
+    in the zero pool, which only shrinks down the tree.  Hence only
+    candidates v >= start with a neighbour in the zero pool are tried, and
+    the loop stops once too few remain to beat the best.  And the
+    witnesses of distinct members are distinct, so a node is cut when P
+    plus the zero-pool vertices with a neighbour at or after ``start``
+    (``reach[start]``, the union of the open neighbourhoods of v >= start)
+    cannot beat the best.
+
+    The sole-witness cut: if a member x has a single witness w left
+    (``adj[x] & one`` is one bit), no later member may neighbour w, since
+    w would then have two neighbours in the complement and x no witness;
+    ``adj[x] & one`` only shrinks down the tree, so N(w) is dropped from
+    the node's candidates.
     """
     full = (1 << n) - 1
+    cap = n // 2
     reach = [0] * (n + 1)  # reach[i]: union of N(v) over v >= i
     for v in range(n - 1, -1, -1):
         reach[v] = reach[v + 1] | adj[v]
+    best_size = 0
+    best = 0
 
-    def extend(start: int, size: int, prefix: int, one: int, many: int) -> Optional[int]:
-        need = k - size
-        if not need:
-            return prefix
+    def extend(start: int, size: int, prefix: int, one: int, many: int) -> bool:
+        """Search below P; True once a complement of size n // 2 is found."""
+        nonlocal best_size, best
+        if size > best_size:
+            best_size, best = size, prefix
+            if size == cap:
+                return True
         zero = full & ~(prefix | one | many)
-        if (reach[start] & zero).bit_count() < need:
-            return None
+        if size + (reach[start] & zero).bit_count() <= best_size:
+            return False
         cand = 0
         rest = zero
         while rest:
             wb = rest & -rest
             rest ^= wb
             cand |= adj[wb.bit_length() - 1]
+        rest = prefix
+        while rest:
+            xb = rest & -rest
+            rest ^= xb
+            w = adj[xb.bit_length() - 1] & one  # never 0 on a valid prefix
+            if not w & (w - 1):
+                cand &= ~adj[w.bit_length() - 1]
         cand = cand >> start << start
         left = cand.bit_count()
-        while left >= need:
+        while size + left > best_size:
             vb = cand & -cand
             cand ^= vb
             left -= 1
@@ -208,30 +232,12 @@ def _lex_first_complement(adj: Tuple[int, ...], n: int, k: int) -> Optional[int]
                 if not adj[ub.bit_length() - 1] & grown_one:
                     break
             else:
-                found = extend(v + 1, size + 1, grown, grown_one, grown_many)
-                if found is not None:
-                    return found
-        return None
+                if extend(v + 1, size + 1, grown, grown_one, grown_many):
+                    return True
+        return False
 
-    return extend(0, 0, 0, 0, 0)
-
-
-def _best_complement(adj: Tuple[int, ...], n: int) -> int:
-    """Lexicographically smallest maximum-size valid complement, as a mask.
-
-    Sizes are tried upward, k = 1, 2, ..., n // 2 (a complement never
-    outgrows its set, as witnesses are distinct), and the search stops at
-    the first size with no valid complement.  Valid complements are
-    hereditary, so every size below the maximum has one and the last size
-    that succeeded is the maximum; its lex-first complement is the answer.
-    At most one size, the one past the maximum, is ever refuted.
-    """
-    best = 0
-    for k in range(1, n // 2 + 1):
-        found = _lex_first_complement(adj, n, k)
-        if found is None:
-            break
-        best = found
+    if cap:  # a lone vertex has only the empty complement
+        extend(0, 0, 0, 0, 0)
     return best
 
 

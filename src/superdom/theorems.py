@@ -25,7 +25,8 @@ T_odot, T_Gv            gamma_sp(op(G,v)) <= gamma_sp(G) + floor(deg/2) - 1
                         for edge clearing / clique contraction, deg(v) >= 2
 C_combined              the averaged lower bound combining T_odot and T_Gv;
                         :func:`check_vertex` reports these four at one
-                        (G, v), building each surgery once
+                        (G, v), building each surgery once; the harness
+                        builds only the surgeries its selected ids read
 P_union                 additivity over disjoint unions
 T_chain2, C_chain_n     sum - slack <= gamma_sp <= sum for chains, with
                         slack 1 for two parts and slack = parts in general
@@ -49,6 +50,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import families, ops, solver
@@ -219,23 +221,38 @@ def check_vertex(g: Graph, v: int, instance: Optional[str] = None, guard: int = 
     isolated v is rejected: clearing around it is a no-op and the bound
     would be false.
     """
+    return _vertex_checks(g, v, instance, guard, ALL_THEOREM_IDS)
+
+
+# The vertex checks that read the clearing around v, and the contraction of N[v].
+_READ_CLEARING = {"P_odot_pendant", "T_odot", "C_combined"}
+_READ_CONTRACTION = {"T_Gv", "C_combined"}
+
+
+def _vertex_checks(g: Graph, v: int, instance: Optional[str], guard: int, want) -> List[TheoremReport]:
+    """The checks of :func:`check_vertex` whose ids are in ``want``, built
+    from only the surgeries those checks read."""
     deg = g.degree(v)
     if deg == 0:
         raise ValueError(f"vertex {v} is isolated: the bound needs deg(v) >= 2")
+    ids = [tid for tid in _VERTEX_IDS[min(deg, 2)] if tid in want]
     base = _sdom_cert(g, guard).value
-    cleared = _sdom_cert(ops.odot(g, v), guard).value
+    cleared = _sdom_cert(ops.odot(g, v), guard).value if _READ_CLEARING.intersection(ids) else None
+    contracted = _sdom_cert(ops.contract_clique(g, v), guard).value if _READ_CONTRACTION.intersection(ids) else None
     label = instance or _default_label(g)
     witness = {"v": v, "degree": deg, "base_value": base}
-    if deg == 1:
-        return [_report("P_odot_pendant", f"odot({label},v={v})", [(cleared, "==", base)], witness)]
-    contracted = _sdom_cert(ops.contract_clique(g, v), guard).value
     slack = _op_slack(deg)
-    return [
-        _report("T_odot", f"odot({label},v={v})", [(cleared, "<=", base + slack)], witness),
-        _report("T_Gv", f"contract({label},v={v})", [(contracted, "<=", base + slack)], dict(witness)),
-        _report("C_combined", f"combined({label},v={v})", [(base, ">=", Fraction(cleared + contracted, 2) - slack)],
-                {"v": v, "degree": deg, "cleared_value": cleared, "contracted_value": contracted}),
-    ]
+    reports = []
+    if "P_odot_pendant" in ids:
+        reports.append(_report("P_odot_pendant", f"odot({label},v={v})", [(cleared, "==", base)], witness))
+    if "T_odot" in ids:
+        reports.append(_report("T_odot", f"odot({label},v={v})", [(cleared, "<=", base + slack)], witness))
+    if "T_Gv" in ids:
+        reports.append(_report("T_Gv", f"contract({label},v={v})", [(contracted, "<=", base + slack)], dict(witness)))
+    if "C_combined" in ids:
+        reports.append(_report("C_combined", f"combined({label},v={v})", [(base, ">=", Fraction(cleared + contracted, 2) - slack)],
+                               {"v": v, "degree": deg, "cleared_value": cleared, "contracted_value": contracted}))
+    return reports
 
 
 def _check_union(g1: Graph, g2: Graph, instance: str, guard: int) -> TheoremReport:
@@ -571,9 +588,6 @@ def run_harness(cfg: HarnessConfig = DEFAULT_CONFIG) -> Tuple[List[TheoremReport
     def plan(tid: str, order: int, check: Callable[..., TheoremReport], *args) -> None:
         plans.append(((tid,), order, lambda: [check(*args)]))
 
-    def vertex_reports(g: Graph, v: int, label: str) -> List[TheoremReport]:
-        return [r for r in check_vertex(g, v, label, guard) if r.theorem_id in want]
-
     pool = family_pool(cfg.family_max_order) + random_pool(cfg.random)
 
     if "T1" in want:
@@ -589,7 +603,7 @@ def run_harness(cfg: HarnessConfig = DEFAULT_CONFIG) -> Tuple[List[TheoremReport
         for v in range(g.n):
             ids = [tid for tid in _VERTEX_IDS[min(g.degree(v), 2)] if tid in want]
             if ids:
-                plans.append((ids, g.n, partial(vertex_reports, g, v, label)))
+                plans.append((ids, g.n, partial(_vertex_checks, g, v, label, guard, want)))
 
     if "P_union" in want:
         for i in range(min(cfg.union_pairs, len(pool) // 2)):
@@ -691,20 +705,69 @@ def _emit(value, pad: str = "\n") -> str:
     raise TypeError(f"report value {value!r} of type {type(value).__name__} is not serialisable")
 
 
+# A report row at its depth in the document: fields at six spaces, the
+# items of its lists and of its witness at eight.
+_FIELD = "\n      "
+_ITEM = "\n        "
+_ROW = (
+    '{\n      "holds": %s,\n      "instance": %s,\n      "lhs": %s,\n      "relations": %s,'
+    '\n      "rhs": %s,\n      "theorem_id": %s,\n      "witness": %s\n    }'
+)
+_DOCUMENT = '{\n  "config": %s,\n  "reports": %s,\n  "summary": %s\n}\n'
+
+
+def _row_list(items) -> str:
+    """A row's lhs or rhs as ``to_dict`` and :func:`_emit` write it."""
+    parts = [str(x) if type(x) is int else _emit(_num(x), _ITEM) for x in items]
+    return "[" + _ITEM + ("," + _ITEM).join(parts) + _FIELD + "]" if parts else "[]"
+
+
+@lru_cache(maxsize=256)
+def _int_witness_template(keys: Tuple) -> Optional[Tuple[str, Callable]]:
+    """The %-template of an all-int witness with these keys, in dict order,
+    and the getter of its values in sorted key order; None unless every
+    key is a str."""
+    if not all(type(k) is str for k in keys):
+        return None
+    order = sorted(keys)
+    items = [_ITEM + encode_basestring_ascii(k).replace("%", "%%") + ": %d" for k in order]
+    return "{" + ",".join(items) + _FIELD + "}", itemgetter(*order)
+
+
+def _row(r: TheoremReport) -> str:
+    """``r.to_dict()`` as :func:`_emit` writes it in the report list."""
+    witness = r.witness
+    text = None
+    if type(witness) is dict and witness and all(type(x) is int for x in witness.values()):
+        made = _int_witness_template(tuple(witness))
+        if made:
+            text = made[0] % made[1](witness)
+    return _ROW % (
+        _emit(r.holds, _FIELD),
+        _emit(r.instance, _FIELD),
+        _row_list(r.lhs),
+        _emit(list(r.relations), _FIELD),
+        _row_list(r.rhs),
+        _emit(r.theorem_id, _FIELD),
+        text or _emit(witness, _FIELD),
+    )
+
+
 def report_document(reports: List[TheoremReport], summary: Dict, cfg: HarnessConfig) -> str:
     """Canonical JSON for a harness run (sorted keys, stable ordering).
 
     The text is byte for byte ``json.dumps(doc, sort_keys=True, indent=2)``
-    plus a newline, written by :func:`_emit`: the standard library
-    indents only through its pure-Python encoder, which takes about half
-    as long again on the default report.  The emitter raises
-    ``TypeError`` on any type a report never holds (a float, a
-    ``Fraction``, ``None``, a tuple, a non-str key), so it cannot silently
-    write other bytes.
+    plus a newline, for ``doc`` the config echo, the reports'
+    ``to_dict()`` and the summary.  Each report is written through one
+    fixed %-template, its all-int witnesses through a template cached per
+    key set; every other value (a config, a summary, a witness holding
+    anything but ints) is written by :func:`_emit`, and no ``to_dict``
+    dict is built.  The standard library indents only through its
+    pure-Python encoder, which takes about half as long again on the
+    default report.  Anything a report never holds (a float, a
+    ``Fraction`` outside lhs and rhs, ``None``, a tuple, a non-str key)
+    is a ``TypeError``, so no other bytes are silently written.
     """
-    doc = {
-        "config": config_to_dict(cfg),
-        "reports": [r.to_dict() for r in reports],
-        "summary": summary,
-    }
-    return _emit(doc) + "\n"
+    rows = [_row(r) for r in reports]
+    listed = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
+    return _DOCUMENT % (_emit(config_to_dict(cfg), "\n  "), listed, _emit(summary, "\n  "))

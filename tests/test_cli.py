@@ -1,5 +1,8 @@
+import hashlib
 import json
+import os
 import resource
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -15,7 +18,8 @@ from superdom.cli import main
 from superdom.families import FAMILY_KINDS
 from superdom.theorems import ALL_THEOREM_IDS, HarnessConfig, RandomGrid
 
-SCHEMAS = Path(__file__).resolve().parents[1] / "docs" / "schemas"
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMAS = ROOT / "docs" / "schemas"
 
 
 def schema(name):
@@ -500,6 +504,24 @@ class TestVerify:
             assert proc.returncode == 0, proc.stderr
             runs.append(out.read_bytes())
         assert runs[0] == runs[1]
+
+
+DEFAULT_REPORT_SHA256 = "bdaa0f731250ef624945a8fb823fa3b8e445221d6811e78e9e5f5c1a6ea0846e"
+
+
+def test_default_report_on_the_oldest_supported_python(tmp_path):
+    # requires-python is >=3.10: the report's format templates must write
+    # the same bytes there
+    exe = shutil.which("python3.10")
+    probe = exe and subprocess.run([exe, "-c", "import sys; print(sys.version_info[:2])"], capture_output=True, text=True)
+    if not probe or probe.returncode != 0 or probe.stdout.strip() != "(3, 10)":
+        pytest.skip("no working python3.10 on PATH")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    out = tmp_path / "report.json"
+    proc = subprocess.run([exe, "-m", "superdom.cli", "verify", "--out", str(out)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_REPORT_SHA256
 
 
 def test_cli_imports_only_stdlib():

@@ -217,14 +217,9 @@ class TestGammaSp:
     def test_certificates_match_downward_search_above_oracle_range(self, n, p, seed):
         self.assert_matches_downward_search(gnp_random_graph(n, p, seed))
 
-    @pytest.mark.parametrize("n,p,seed,nodes", [
-        (16, Fraction(1, 4), 0, 312),
-        (16, Fraction(1, 8), 1, 163),
-    ])
-    def test_zero_pool_cuts_bound_the_search(self, n, p, seed, nodes):
-        # a weakened cut still returns every certificate unchanged, so only
-        # the number of search nodes entered can show it (without the two
-        # zero-pool cuts these graphs take 540 and 459)
+    @staticmethod
+    def nodes_entered(g):
+        """The number of search nodes ``gamma_sp(g)`` enters."""
         entered = 0
 
         def count(frame, event, arg):
@@ -235,10 +230,25 @@ class TestGammaSp:
         previous = sys.getprofile()
         sys.setprofile(count)
         try:
-            gamma_sp(gnp_random_graph(n, p, seed))
+            gamma_sp(g)
         finally:
             sys.setprofile(previous)
-        assert entered <= nodes
+        return entered
+
+    @pytest.mark.parametrize("n,p,seed,nodes", [
+        (16, Fraction(1, 4), 0, 258),
+        (16, Fraction(1, 8), 1, 135),
+    ])
+    def test_zero_pool_cuts_bound_the_search(self, n, p, seed, nodes):
+        # a weakened cut still returns every certificate unchanged, so only
+        # the number of search nodes entered can show it (without the two
+        # zero-pool cuts these graphs take 447 and 359)
+        assert self.nodes_entered(gnp_random_graph(n, p, seed)) <= nodes
+
+    def test_sole_witness_cut_bounds_the_search(self):
+        # without dropping the neighbours of a member's last witness from
+        # the candidates this graph takes 5586 nodes
+        assert self.nodes_entered(gnp_random_graph(24, Fraction(1, 4), 5)) <= 3260
 
     def test_certificates_match_oracles_on_graph_atlas(self):
         # every graph on 1..7 vertices, up to isomorphism

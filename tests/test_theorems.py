@@ -427,6 +427,13 @@ class TestVertexHarness:
         run_harness(replace(VERTEX_CONFIG, theorems=("P_odot_pendant",)))
         assert calls == {"odot": degrees[1]}
 
+    @pytest.mark.parametrize("tid,unused", [("T_odot", "contract_clique"), ("T_Gv", "odot")])
+    def test_one_selected_surgery_builds_only_that_surgery(self, tid, unused, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ops, unused, lambda *args: calls.append(args))
+        reports, summary = run_harness(HarnessConfig(theorems=(tid,)))
+        assert reports and summary["failed"] == 0 and calls == []
+
     @pytest.mark.parametrize("tid", VERTEX_IDS)
     def test_selecting_one_id_reports_only_its_rows(self, tid):
         alone = _vertex_run((tid,))
@@ -468,3 +475,84 @@ class TestReportEmitter:
     def test_refuses_types_a_report_never_holds(self, value):
         with pytest.raises(TypeError):
             theorems._emit(value)
+
+
+_numbers = st.integers(-50, 50) | st.fractions(max_denominator=6) | st.integers(min_value=2 ** 70)
+# keys a %-template or a JSON string must escape, and ints next to bools
+_witness_keys = st.text(st.sampled_from('%d"\\\x01\u00e9v'), max_size=3) | st.text(max_size=4)
+_int_witnesses = st.dictionaries(_witness_keys, st.integers(-(2 ** 70), 2 ** 70) | st.booleans(), max_size=5)
+_vertex_lists = st.lists(st.integers(0, 30), max_size=5)
+# Every witness shape the harness writes, then any report value.
+_witnesses = st.one_of(
+    st.fixed_dictionaries({"v": st.integers(0, 9), "degree": st.integers(1, 9), "base_value": st.integers(1, 9)}),
+    st.fixed_dictionaries({
+        "v": st.integers(0, 9), "degree": st.integers(2, 9),
+        "cleared_value": st.integers(1, 9), "contracted_value": st.integers(1, 9),
+    }),
+    st.just({}),
+    st.fixed_dictionaries({
+        "gamma_set": _vertex_lists,
+        "gamma_sp": st.fixed_dictionaries({
+            "set": _vertex_lists, "witnesses": st.dictionaries(st.integers(0, 30).map(str), st.integers(0, 30)),
+        }),
+    }),
+    st.fixed_dictionaries({"part_values": _vertex_lists}),
+    st.fixed_dictionaries({"part_values": _vertex_lists, "merged": _vertex_lists}),
+    st.fixed_dictionaries({"part_values": _vertex_lists, "hub": st.integers(0, 30)}),
+    st.fixed_dictionaries(
+        {"part_values": _vertex_lists, "merged_vertex": st.integers(0, 30)},
+        optional={"proof_case": st.text() | st.dictionaries(st.text(max_size=8), _vertex_lists | st.booleans())},
+    ),
+    st.fixed_dictionaries({"isomorphic_to": st.text()}),
+    _int_witnesses,
+    st.dictionaries(st.text(max_size=4), _report_values, max_size=4),
+)
+_reports = st.builds(
+    theorems.TheoremReport,
+    theorem_id=st.sampled_from(ALL_THEOREM_IDS) | st.text(),
+    instance=st.text(),
+    lhs=st.lists(_numbers, max_size=3).map(tuple),
+    relations=st.lists(st.sampled_from(["<=", ">=", "=="]) | st.text(max_size=3), max_size=3).map(tuple),
+    rhs=st.lists(_numbers, max_size=3).map(tuple),
+    holds=st.booleans(),
+    witness=_witnesses,
+)
+
+
+def _stdlib_document(reports, summary, cfg):
+    doc = {"config": config_to_dict(cfg), "reports": [r.to_dict() for r in reports], "summary": summary}
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+class TestReportDocument:
+    """report_document writes each report through its row template and
+    still equals the stdlib encoding of the to_dict document."""
+
+    @given(st.lists(_reports, max_size=6), st.dictionaries(st.text(max_size=4), _report_values, max_size=3))
+    def test_equals_the_stdlib_encoder(self, reports, summary):
+        assert report_document(reports, summary, SMALL_CONFIG) == _stdlib_document(reports, summary, SMALL_CONFIG)
+
+    @pytest.mark.parametrize("witness", [
+        {}, {"%": 1}, {"%d": 1, "v": 2}, {"%%": -3}, {'"': 4, "\\": 5, "\x01": 6, "\u00e9": 7},
+        {"v": True}, {"v": 1, "w": False}, {"big": 2 ** 80, "neg": -(2 ** 80)}, {"v": 1, "w": [2]},
+    ], ids=repr)
+    def test_witness_edge_cases(self, witness):
+        reports = [replace(check_odot_sharp(2), witness=witness, lhs=(Fraction(3, 2), 2), rhs=(Fraction(4, 2), 0))]
+        assert report_document(reports, {}, SMALL_CONFIG) == _stdlib_document(reports, {}, SMALL_CONFIG)
+
+    def test_empty_report_list(self):
+        summary = {"total": 0, "failed": 0, "per_theorem": {}}
+        text = report_document([], summary, DEFAULT_CONFIG)
+        assert text == _stdlib_document([], summary, DEFAULT_CONFIG) and '"reports": []' in text
+
+    @pytest.mark.parametrize("changes", [
+        {"lhs": (1.5,)}, {"rhs": (None,)}, {"lhs": (1, Fraction(1, 2), 0.5)},
+        {"witness": {"v": 1.5}}, {"witness": {"v": None}}, {"witness": {"v": 1, "degree": 0.0}},
+        {"witness": {1: 2}}, {"witness": {"set": (1, 2)}},
+        {"holds": None}, {"holds": 0.5}, {"holds": Fraction(1, 2)}, {"holds": (True,)},
+        {"theorem_id": None}, {"instance": 1.0},
+    ], ids=repr)
+    def test_refuses_types_a_report_never_holds(self, changes):
+        report = replace(check_odot_sharp(2), **changes)
+        with pytest.raises(TypeError):
+            report_document([report], {}, SMALL_CONFIG)
