@@ -190,8 +190,6 @@ def cmd_op(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from dataclasses import replace
-
     from . import theorems
 
     if args.config in (None, "default"):
@@ -204,7 +202,7 @@ def cmd_verify(args) -> int:
                 raise ValueError(f"{args.config}: config is nested too deeply") from None
         cfg = theorems.config_from_dict(raw)
     if args.guard_n is not None:
-        cfg = replace(cfg, guard=args.guard_n)
+        cfg = cfg._replace(guard=args.guard_n)
     out = args.out and os.path.realpath(args.out)
     created = False
     if out:

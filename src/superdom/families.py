@@ -23,9 +23,9 @@ Every command imports this module, since ``cli.build_parser`` reads
 what building the table needs.  ``fractions`` (which loads ``decimal``) is
 imported in :func:`_as_probability`, and ``hashlib.blake2b`` (which loads
 OpenSSL) in :func:`gnp_random_graph`, so only ``gen gnp_random`` and the
-harness load them.  The ``blake2b`` import runs once per graph, not once
-per vertex pair in the draw loop, where even a cached import statement
-costs measurable time.
+harness load them.  The ``blake2b`` import, and the keying of the hash
+state, run once per graph; each vertex pair copies that keyed state, which
+digests its index exactly as a freshly keyed ``blake2b`` would.
 """
 
 from __future__ import annotations
@@ -115,15 +115,17 @@ def gnp_random_graph(n: int, p: RationalLike, seed: int) -> Graph:
     if n < 0:
         raise ValueError("n must be non-negative")
     p = _as_probability(p)
-    seed_key = (seed % (1 << 64)).to_bytes(8, "little")
+    keyed = blake2b(key=(seed % (1 << 64)).to_bytes(8, "little"), digest_size=8)
     num, den = p.numerator, p.denominator
+    bound = num << 64
 
     def edges() -> Iterator[Tuple[int, int]]:
         t = 0
         for u in range(n):
             for v in range(u + 1, n):
-                draw = blake2b(t.to_bytes(8, "little"), key=seed_key, digest_size=8).digest()
-                if int.from_bytes(draw, "little") * den < num << 64:
+                draw = keyed.copy()
+                draw.update(t.to_bytes(8, "little"))
+                if int.from_bytes(draw.digest(), "little") * den < bound:
                     yield u, v
                 t += 1
 

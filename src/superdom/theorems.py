@@ -40,18 +40,23 @@ Each bound is stated once.  :func:`_op_slack` holds floor(deg/2) - 1 for
 the vertex operations, and :func:`_glued_sandwich` builds the chain and
 bouquet sandwich rows from the part values and a slack.  The checks and
 the sharpness witnesses take their bounds from these two.
+
+:class:`TheoremReport` and the config records :class:`RandomGrid` and
+:class:`HarnessConfig` are ``NamedTuple``s, so ``verify`` loads neither
+``dataclasses`` nor what it imports (``inspect``, ``ast``, ``dis``).  The
+config records check their fields in ``__new__``, and ``_replace`` builds
+through it, so a replaced field is checked as a given one is.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from operator import attrgetter, itemgetter
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import families, ops, solver
 from .graph import DEFAULT_ISO_GUARD, Graph, is_isomorphic
@@ -85,8 +90,7 @@ Number = Union[int, Fraction]
 Row = Tuple[Number, str, Number]
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     theorem_id: str
     instance: str
     lhs: Tuple
@@ -124,15 +128,8 @@ def _row_ok(lhs, rel, rhs) -> bool:
 
 
 def _report(tid: str, instance: str, rows: Sequence[Row], witness: Optional[Dict] = None) -> TheoremReport:
-    return TheoremReport(
-        theorem_id=tid,
-        instance=instance,
-        lhs=tuple(r[0] for r in rows),
-        relations=tuple(r[1] for r in rows),
-        rhs=tuple(r[2] for r in rows),
-        holds=all(_row_ok(*r) for r in rows),
-        witness=witness or {},
-    )
+    lhs, relations, rhs = zip(*rows) if rows else ((), (), ())
+    return TheoremReport(tid, instance, lhs, relations, rhs, all(map(_row_ok, lhs, relations, rhs)), witness or {})
 
 
 @lru_cache(maxsize=None)
@@ -416,39 +413,62 @@ def check_bouquet_sharp_upper(k: int, guard: int = solver.DEFAULT_GUARD) -> Theo
 # Instance pools
 
 
-def _check_ints(cfg, prefix: str) -> None:
-    """Fields with a ``minimum`` in their metadata must be ints (not bools) at or above it."""
-    for f in fields(cfg):
-        if "minimum" in f.metadata:
-            value, low = getattr(cfg, f.name), f.metadata["minimum"]
+# The one table of config keys and limits: the JSON key of each field whose
+# key is not its name, and the least value of each integer field (None where
+# any integer will do).  docs/schemas/verify_config.schema.json promises the same.
+_JSON_KEYS = {"p_values": "p"}
+_MINIMUMS = {
+    "count": 0, "n_min": 1, "n_max": 1, "seed": None,
+    "family_max_order": 1, "union_pairs": 0, "chain_samples": 0, "bouquet_samples": 0, "guard": 1,
+}
+
+
+def _check_ints(record, prefix: str) -> None:
+    """The integer fields of a config record must be ints (not bools) at or above their minimums."""
+    for name, value in zip(record._fields, record):
+        if name in _MINIMUMS:
+            low = _MINIMUMS[name]
             if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{prefix}{f.name} must be an integer, got {value!r}")
+                raise ValueError(f"{prefix}{name} must be an integer, got {value!r}")
             if low is not None and value < low:
-                raise ValueError(f"{prefix}{f.name} must be >= {low}, got {value}")
+                raise ValueError(f"{prefix}{name} must be >= {low}, got {value}")
 
 
-@dataclass(frozen=True)
-class RandomGrid:
+def _validated_make(cls, iterable):
+    """A config record's ``_make``, which ``_replace`` calls: built through
+    the constructor, so a replaced field is checked as a given one is."""
+    return cls(*iterable)
+
+
+class _GridFields(NamedTuple):
+    count: int = 200
+    n_min: int = 4
+    n_max: int = 12
+    p_values: Tuple[Fraction, ...] = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+    seed: int = 42
+
+
+class RandomGrid(_GridFields):
     """Replayable G(n,p) grid: instance i uses n cycling over [n_min, n_max],
     p cycling per full n-sweep, and seed base_seed + i.  Each p value is
-    parsed by ``families._as_probability``, so ``"1/4"`` is stored as a Fraction."""
+    parsed by ``families._as_probability``, so ``"1/4"`` is stored as a Fraction.
+    Construction and ``_replace`` check every field."""
 
-    count: int = field(default=200, metadata={"minimum": 0})
-    n_min: int = field(default=4, metadata={"minimum": 1})
-    n_max: int = field(default=12, metadata={"minimum": 1})
-    p_values: Tuple[Fraction, ...] = field(default=(Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)), metadata={"key": "p"})
-    seed: int = field(default=42, metadata={"minimum": None})
+    __slots__ = ()
+    _make = classmethod(_validated_make)
 
-    def __post_init__(self) -> None:
-        _check_ints(self, "random.")
-        if self.n_min > self.n_max:
-            raise ValueError(f"random grid needs n_min <= n_max, got n_min={self.n_min}, n_max={self.n_max}")
+    def __new__(cls, *args, **kwargs):
+        grid = super().__new__(cls, *args, **kwargs)
+        _check_ints(grid, "random.")
+        if grid.n_min > grid.n_max:
+            raise ValueError(f"random grid needs n_min <= n_max, got n_min={grid.n_min}, n_max={grid.n_max}")
         try:
-            object.__setattr__(self, "p_values", tuple(map(families._as_probability, self.p_values)))
+            p_values = tuple(map(families._as_probability, grid.p_values))
         except ValueError as exc:
             raise ValueError(f"random.p: {exc}") from None
-        if self.count and not self.p_values:
+        if grid.count and not p_values:
             raise ValueError("random grid with count > 0 needs at least one p value")
+        return super().__new__(cls, grid.count, grid.n_min, grid.n_max, p_values, grid.seed)
 
 
 def _gnp_stream(seed: int, n_min: int, n_max: int, p_values: Sequence[Fraction]) -> Iterator[Tuple[str, Graph]]:
@@ -493,24 +513,30 @@ def _pick_vertex(seed: int, tag: str, n: int) -> int:
 # Harness
 
 
-@dataclass(frozen=True)
-class HarnessConfig:
-    """What ``verify`` checks.  The fields are the one table of config keys and
-    limits: integer fields carry the schema's ``minimum`` in their metadata."""
-
+class _ConfigFields(NamedTuple):
     theorems: Tuple[str, ...] = ALL_THEOREM_IDS
-    family_max_order: int = field(default=12, metadata={"minimum": 1})
+    family_max_order: int = 12
     random: RandomGrid = RandomGrid()
-    union_pairs: int = field(default=50, metadata={"minimum": 0})
-    chain_samples: int = field(default=20, metadata={"minimum": 0})
-    bouquet_samples: int = field(default=20, metadata={"minimum": 0})
-    guard: int = field(default=solver.DEFAULT_GUARD, metadata={"minimum": 1})
+    union_pairs: int = 50
+    chain_samples: int = 20
+    bouquet_samples: int = 20
+    guard: int = solver.DEFAULT_GUARD
 
-    def __post_init__(self) -> None:
-        _check_ints(self, "")
-        bad = [t for t in self.theorems if t not in ALL_THEOREM_IDS]
+
+class HarnessConfig(_ConfigFields):
+    """What ``verify`` checks.  Construction and ``_replace`` check every
+    field against the table of config limits above."""
+
+    __slots__ = ()
+    _make = classmethod(_validated_make)
+
+    def __new__(cls, *args, **kwargs):
+        cfg = super().__new__(cls, *args, **kwargs)
+        _check_ints(cfg, "")
+        bad = [t for t in cfg.theorems if t not in ALL_THEOREM_IDS]
         if bad:
             raise ValueError(f"unknown check identifiers: {bad}")
+        return cfg
 
 
 DEFAULT_CONFIG = HarnessConfig()
@@ -521,23 +547,25 @@ def _field_args(cls, data, where: str) -> Dict:
     known keys, and a JSON list for each tuple-valued field."""
     if not isinstance(data, dict):
         raise ValueError(f"{where} must be a JSON object, got {type(data).__name__}")
-    table = {f.metadata.get("key", f.name): f for f in fields(cls)}
+    table = {_JSON_KEYS.get(name, name): name for name in cls._fields}
     extra = set(data) - set(table)
     if extra:
         raise ValueError(f"unknown {where} keys: {sorted(extra)}")
     args = {}
     for key, value in data.items():
-        is_list = isinstance(table[key].default, tuple)
+        name = table[key]
+        # a plain tuple default, not the RandomGrid record
+        is_list = type(cls._field_defaults[name]) is tuple
         if is_list and not isinstance(value, list):
             raise ValueError(f"{where} key {key!r} must be a list, got {type(value).__name__}")
-        args[table[key].name] = tuple(value) if is_list else value
+        args[name] = tuple(value) if is_list else value
     return args
 
 
 def config_from_dict(data: Dict) -> HarnessConfig:
     """Build a config from parsed JSON; unknown keys are rejected.
 
-    Values pass unconverted to the dataclasses, which check them.  A missing
+    Values pass unconverted to the records, which check them.  A missing
     or empty ``theorems`` list selects nothing, so ``{}`` is the empty run.
     Other missing keys take the :class:`HarnessConfig` and
     :class:`RandomGrid` defaults.  Probabilities are strings or integers.
@@ -556,7 +584,7 @@ def _echo(value):
 
 def config_to_dict(cfg: HarnessConfig) -> Dict:
     """JSON echo of a config (or of its random grid), one key per field."""
-    return {f.metadata.get("key", f.name): _echo(getattr(cfg, f.name)) for f in fields(cfg)}
+    return {_JSON_KEYS.get(name, name): _echo(value) for name, value in zip(cfg._fields, cfg)}
 
 
 def _glued_order(orders: Sequence[int]) -> int:
@@ -664,7 +692,7 @@ def run_harness(cfg: HarnessConfig = DEFAULT_CONFIG) -> Tuple[List[TheoremReport
         raise ValueError(f"checks solve graphs above the size guard {guard}: {named}")
 
     reports = [r for _, _, run in plans for r in run()]
-    reports.sort(key=lambda r: (r.theorem_id, r.instance))
+    reports.sort(key=attrgetter("theorem_id", "instance"))
     per: Dict[str, Dict[str, int]] = {}
     failed = 0
     for r in reports:
@@ -734,21 +762,31 @@ def _int_witness_template(keys: Tuple) -> Optional[Tuple[str, Callable]]:
     return "{" + ",".join(items) + _FIELD + "}", itemgetter(*order)
 
 
+@lru_cache(maxsize=256)
+def _relations_text(relations: Tuple) -> str:
+    """A row's relations as :func:`_emit` writes them; the harness writes
+    only a handful of distinct tuples."""
+    return _emit(list(relations), _FIELD)
+
+
 def _row(r: TheoremReport) -> str:
-    """``r.to_dict()`` as :func:`_emit` writes it in the report list."""
-    witness = r.witness
+    """``r.to_dict()`` as :func:`_emit` writes it in the report list.
+
+    ``holds``, ``instance`` and ``theorem_id`` are written directly when
+    they are a bool or a str, and through :func:`_emit` otherwise."""
+    tid, instance, lhs, relations, rhs, holds, witness = r
     text = None
     if type(witness) is dict and witness and all(type(x) is int for x in witness.values()):
         made = _int_witness_template(tuple(witness))
         if made:
             text = made[0] % made[1](witness)
     return _ROW % (
-        _emit(r.holds, _FIELD),
-        _emit(r.instance, _FIELD),
-        _row_list(r.lhs),
-        _emit(list(r.relations), _FIELD),
-        _row_list(r.rhs),
-        _emit(r.theorem_id, _FIELD),
+        "true" if holds is True else "false" if holds is False else _emit(holds, _FIELD),
+        encode_basestring_ascii(instance) if type(instance) is str else _emit(instance, _FIELD),
+        _row_list(lhs),
+        _relations_text(relations) if type(relations) is tuple else _emit(list(relations), _FIELD),
+        _row_list(rhs),
+        encode_basestring_ascii(tid) if type(tid) is str else _emit(tid, _FIELD),
         text or _emit(witness, _FIELD),
     )
 
@@ -758,11 +796,13 @@ def report_document(reports: List[TheoremReport], summary: Dict, cfg: HarnessCon
 
     The text is byte for byte ``json.dumps(doc, sort_keys=True, indent=2)``
     plus a newline, for ``doc`` the config echo, the reports'
-    ``to_dict()`` and the summary.  Each report is written through one
-    fixed %-template, its all-int witnesses through a template cached per
-    key set; every other value (a config, a summary, a witness holding
-    anything but ints) is written by :func:`_emit`, and no ``to_dict``
-    dict is built.  The standard library indents only through its
+    ``to_dict()`` and the summary, so ``to_dict`` stays the spec of the
+    bytes.  Each report is written through one fixed %-template: its
+    all-int witnesses through a template cached per key set, its
+    relations through text cached per tuple, and a bool ``holds`` or str
+    ``instance`` and ``theorem_id`` directly.  Every other value (a
+    config, a summary, a witness holding anything but ints) is written by
+    :func:`_emit`, and no ``to_dict`` dict is built.  The standard library indents only through its
     pure-Python encoder, which takes about half as long again on the
     default report.  Anything a report never holds (a float, a
     ``Fraction`` outside lhs and rhs, ``None``, a tuple, a non-str key)

@@ -5,7 +5,6 @@ import resource
 import shutil
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import jsonschema
@@ -16,7 +15,7 @@ from referencing.jsonschema import DRAFT7
 from superdom import read_edge_list, friendship_graph, is_isomorphic, star_graph
 from superdom.cli import main
 from superdom.families import FAMILY_KINDS
-from superdom.theorems import ALL_THEOREM_IDS, HarnessConfig, RandomGrid
+from superdom.theorems import _JSON_KEYS, _MINIMUMS, ALL_THEOREM_IDS, HarnessConfig, RandomGrid
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMAS = ROOT / "docs" / "schemas"
@@ -375,18 +374,19 @@ class TestVerify:
         assert message in captured.err
 
     def test_schema_matches_field_table(self):
-        # the dataclass fields are the one table of config limits; the
-        # schema must promise exactly what they enforce
+        # _JSON_KEYS and _MINIMUMS are the one table of config keys and
+        # limits; the schema must promise exactly what they enforce
         top = schema("verify_config.schema.json")
         assert top["properties"]["theorems"]["items"]["enum"] == list(ALL_THEOREM_IDS)
+        assert set(_JSON_KEYS) | set(_MINIMUMS) <= set(HarnessConfig._fields) | set(RandomGrid._fields)
         for cls, props in ((HarnessConfig, top["properties"]),
                            (RandomGrid, top["properties"]["random"]["properties"])):
-            table = {f.metadata.get("key", f.name): f for f in fields(cls)}
+            table = {_JSON_KEYS.get(name, name): name for name in cls._fields}
             assert set(props) == set(table)
-            for key, f in table.items():
-                if "minimum" in f.metadata:
+            for key, name in table.items():
+                if name in _MINIMUMS:
                     assert props[key]["type"] == "integer", key
-                    assert props[key].get("minimum") == f.metadata["minimum"], key
+                    assert props[key].get("minimum") == _MINIMUMS[name], key
                 else:
                     assert props[key]["type"] != "integer", key
 
@@ -538,7 +538,7 @@ def test_cli_imports_only_stdlib():
 
 
 HASHING_AND_RATIONALS = {"hashlib", "_hashlib", "fractions", "decimal"}
-HEAVY_STDLIB = {"dataclasses"} | HASHING_AND_RATIONALS
+HEAVY_STDLIB = {"dataclasses", "inspect"} | HASHING_AND_RATIONALS
 
 
 def _modules_loaded(code):
@@ -585,6 +585,13 @@ class TestImportBudget:
     def test_gen_gnp_random_imports_what_it_draws_with(self):
         loaded = _modules_loaded("from superdom.cli import main\nassert main(['gen', 'gnp_random', '8', '1/2']) == 0")
         assert HASHING_AND_RATIONALS <= loaded
+
+    def test_verify_loads_neither_dataclasses_nor_inspect(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"theorems": ["T2i"], "family_max_order": 4}))
+        loaded = _modules_loaded(f"from superdom.cli import main\nassert main(['verify', '--config', {str(cfg)!r}]) == 0")
+        assert "superdom.theorems" in loaded
+        assert not loaded & {"dataclasses", "inspect"}
 
     def test_bare_package_import_loads_no_layer(self):
         assert _modules_loaded("import superdom") == set()

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from hashlib import blake2b
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from superdom import (
     build_family,
@@ -117,6 +120,19 @@ class TestGnp:
 
     def test_string_and_tuple_probabilities(self):
         assert gnp_random_graph(6, "1/2", 1) == gnp_random_graph(6, (1, 2), 1)
+
+    @given(
+        st.integers(0, 14),
+        st.sampled_from([Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]),
+        st.integers(-(2 ** 70), -1) | st.just(0) | st.integers(1, 2 ** 20) | st.integers(2 ** 64, 2 ** 70),
+    )
+    def test_matches_a_freshly_keyed_hash_per_pair(self, n, p, seed):
+        # the documented stream, each pair hashed with its own keyed BLAKE2b
+        key = (seed % 2 ** 64).to_bytes(8, "little")
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        draws = [blake2b(t.to_bytes(8, "little"), key=key, digest_size=8).digest() for t in range(len(pairs))]
+        expected = [e for e, d in zip(pairs, draws) if int.from_bytes(d, "little") * p.denominator < p.numerator << 64]
+        assert gnp_random_graph(n, p, seed).edges() == expected
 
 
 class TestBuildFamily:

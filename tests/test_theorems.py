@@ -1,7 +1,6 @@
 import hashlib
 import json
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -303,7 +302,35 @@ class TestHarness:
         )
         assert cfg.random.p_values == (Fraction(1, 3),)
         assert cfg.random.count == 3
-        assert config_from_dict(config_to_dict(DEFAULT_CONFIG)) == DEFAULT_CONFIG
+
+    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, SMALL_CONFIG], ids=["default", "small"])
+    def test_config_echo_round_trips(self, cfg):
+        assert config_from_dict(config_to_dict(cfg)) == cfg
+
+    @pytest.mark.parametrize("record,changes", [
+        (DEFAULT_CONFIG, {"guard": 0}),
+        (DEFAULT_CONFIG.random, {"count": -1}),
+        (DEFAULT_CONFIG.random, {"n_min": 13}),
+        (DEFAULT_CONFIG.random, {"p_values": ("2",)}),
+    ], ids=["guard", "count", "n_min_above_n_max", "p"])
+    def test_replace_checks_as_construction_does(self, record, changes):
+        with pytest.raises(ValueError) as built:
+            type(record)(**{**record._asdict(), **changes})
+        with pytest.raises(ValueError) as replaced:
+            record._replace(**changes)
+        assert str(replaced.value) == str(built.value)
+
+    @pytest.mark.parametrize("record", [DEFAULT_CONFIG, DEFAULT_CONFIG.random, check_odot_sharp(2)],
+                             ids=["HarnessConfig", "RandomGrid", "TheoremReport"])
+    def test_records_are_immutable(self, record):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], record[0])
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_report_without_rows_holds(self):
+        report = theorems._report("T1", "empty", [])
+        assert (report.lhs, report.relations, report.rhs, report.holds, report.witness) == ((), (), (), True, {})
 
     def test_small_run_green_and_deterministic(self):
         r1, s1 = run_harness(SMALL_CONFIG)
@@ -375,10 +402,10 @@ class TestHarness:
         cfg = HarnessConfig(theorems=(tid,), family_max_order=1, random=RandomGrid(count=0))
         assert run_harness(cfg)[1]["failed"] == 0
         largest = max(solved)
-        assert run_harness(replace(cfg, guard=largest))[1]["failed"] == 0
+        assert run_harness(cfg._replace(guard=largest))[1]["failed"] == 0
         solved.clear()
         with pytest.raises(ValueError, match=rf"{tid} \(order {largest}\)"):
-            run_harness(replace(cfg, guard=largest - 1))
+            run_harness(cfg._replace(guard=largest - 1))
         assert solved == []
 
     def test_report_union_values(self):
@@ -402,7 +429,7 @@ VERTEX_CONFIG = HarnessConfig(
 
 @lru_cache(maxsize=None)
 def _vertex_run(ids):
-    return run_harness(replace(VERTEX_CONFIG, theorems=ids))[0]
+    return run_harness(VERTEX_CONFIG._replace(theorems=ids))[0]
 
 
 class TestVertexHarness:
@@ -424,7 +451,7 @@ class TestVertexHarness:
         }
         # the pendant check alone visits only the pendant vertices
         calls.clear()
-        run_harness(replace(VERTEX_CONFIG, theorems=("P_odot_pendant",)))
+        run_harness(VERTEX_CONFIG._replace(theorems=("P_odot_pendant",)))
         assert calls == {"odot": degrees[1]}
 
     @pytest.mark.parametrize("tid,unused", [("T_odot", "contract_clique"), ("T_Gv", "odot")])
@@ -537,7 +564,7 @@ class TestReportDocument:
         {"v": True}, {"v": 1, "w": False}, {"big": 2 ** 80, "neg": -(2 ** 80)}, {"v": 1, "w": [2]},
     ], ids=repr)
     def test_witness_edge_cases(self, witness):
-        reports = [replace(check_odot_sharp(2), witness=witness, lhs=(Fraction(3, 2), 2), rhs=(Fraction(4, 2), 0))]
+        reports = [check_odot_sharp(2)._replace(witness=witness, lhs=(Fraction(3, 2), 2), rhs=(Fraction(4, 2), 0))]
         assert report_document(reports, {}, SMALL_CONFIG) == _stdlib_document(reports, {}, SMALL_CONFIG)
 
     def test_empty_report_list(self):
@@ -553,6 +580,6 @@ class TestReportDocument:
         {"theorem_id": None}, {"instance": 1.0},
     ], ids=repr)
     def test_refuses_types_a_report_never_holds(self, changes):
-        report = replace(check_odot_sharp(2), **changes)
+        report = check_odot_sharp(2)._replace(**changes)
         with pytest.raises(TypeError):
             report_document([report], {}, SMALL_CONFIG)
