@@ -22,7 +22,7 @@ Every command imports this module, since ``cli.build_parser`` reads
 :data:`FAMILY_KINDS` for ``gen``'s choices, so it imports at the top only
 what building the table needs.  ``fractions`` (which loads ``decimal``) is
 imported in :func:`_as_probability`, and ``hashlib.blake2b`` (which loads
-OpenSSL) in :func:`gnp_random_graph`, so only ``gen gnp_random`` and the
+OpenSSL) in :func:`_keyed_state`, so only ``gen gnp_random`` and the
 harness load them.  The ``blake2b`` import, and the keying of the hash
 state, run once per graph; each vertex pair copies that keyed state, which
 digests its index exactly as a freshly keyed ``blake2b`` would.
@@ -102,6 +102,16 @@ def _as_probability(p: RationalLike) -> Fraction:
     return p
 
 
+def _keyed_state(seed: int):
+    """A fresh BLAKE2b state keyed by ``seed`` (reduced mod 2**64, 8 bytes
+    little-endian) with an 8-byte digest: the one rule every seeded draw
+    in the package follows.  A draw copies or updates it with its own
+    message, such as a pair index here or a tag in the harness."""
+    from hashlib import blake2b
+
+    return blake2b(key=(seed % (1 << 64)).to_bytes(8, "little"), digest_size=8)
+
+
 def gnp_random_graph(n: int, p: RationalLike, seed: int) -> Graph:
     """G(n,p) with a counter-based keyed BLAKE2b stream.
 
@@ -110,12 +120,10 @@ def gnp_random_graph(n: int, p: RationalLike, seed: int) -> Graph:
     held exactly as a rational.  Same (n, p, seed) gives the same edge set
     on every platform; no global RNG state is involved.
     """
-    from hashlib import blake2b
-
     if n < 0:
         raise ValueError("n must be non-negative")
     p = _as_probability(p)
-    keyed = blake2b(key=(seed % (1 << 64)).to_bytes(8, "little"), digest_size=8)
+    keyed = _keyed_state(seed)
     num, den = p.numerator, p.denominator
     bound = num << 64
 

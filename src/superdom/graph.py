@@ -6,14 +6,15 @@ intersections, complements) cheap for the exact search routines built on
 top.  Graphs and vertex sets are value types: construction validates the
 simple-graph invariants, nothing mutates afterwards, and both hash and
 compare structurally, so they can be shared across workers freely.  A
-graph derived from a valid one by mask algebra (an induced subgraph, the
-vertex surgeries of ``ops``) is built by the private ``Graph._of``, which
-takes the masks as they are and checks nothing again.
+graph derived from a valid one by mask algebra (the vertex surgeries and
+compositions of ``ops``) is built by the private ``Graph._of``, which
+takes the masks as they are and checks nothing again.  The solvers build
+no graph at all: they search each component in place on ``adj``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 DEFAULT_ISO_GUARD = 12
 # A graph's bitmasks take up to n*n/8 bytes, so 2**14 vertices cap them at
@@ -189,26 +190,6 @@ class Graph:
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1
-
-    def induced_subgraph(self, vertices: Sequence[int]) -> "Graph":
-        """Subgraph on ``vertices``, relabelled to 0..k-1 by position in the sequence."""
-        pos = {}
-        for i, v in enumerate(vertices):
-            self._check_vertex(v)
-            if v in pos:
-                raise ValueError(f"duplicate vertex {v}")
-            pos[v] = i
-        keep = sum(1 << v for v in pos)
-        adj = []
-        for v in vertices:
-            rest = self.adj[v] & keep
-            a = 0
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                a |= 1 << pos[b.bit_length() - 1]
-            adj.append(a)
-        return Graph._of(tuple(adj))
 
     def degree_sequence(self) -> Tuple[int, ...]:
         return tuple(sorted((a.bit_count() for a in self.adj), reverse=True))

@@ -18,9 +18,10 @@ first maximum it meets is the lexicographically smallest.
 :func:`_best_complement` states the cuts and why they keep that maximum.
 Connected components are solved separately and their certificates merged,
 which is value-exact (validity of a complement is a per-component
-property) and keeps the exponent small.  Both solvers split through one
-helper, and a connected graph is solved in place on its own masks, with
-no relabelled copy.
+property) and keeps the exponent small.  Both solvers split through
+:func:`_solve`: each search runs in place on the graph's own masks,
+restricted to one component's vertices, and returns its answer in the
+graph's labels, so no component is ever copied or relabelled.
 
 The minimum dominating set search tries sizes k = 1, 2, ... in turn,
 depth first over ascending vertex choices.  It cuts a prefix in two
@@ -35,14 +36,14 @@ lexicographically smallest one.
 Tie-breaking is deterministic everywhere: among maximum-size valid
 complements the lexicographically smallest wins (vertices compared as
 integers), and each outside vertex records its smallest witness.  Because
-components partition the vertex range and are relabelled monotonically,
-per-component lexicographic minima merge into the global lexicographic
-minimum.
+components partition the vertex range and each search meets its
+component's vertices in ascending order, per-component lexicographic
+minima merge into the global lexicographic minimum.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, NamedTuple, Optional, Tuple, Union
 
 from .graph import Graph, SizeGuardError, VertexSet
 
@@ -136,8 +137,10 @@ def first_violation(g: Graph, s: SetLike) -> Optional[str]:
     return found if isinstance(found, str) else None
 
 
-def _best_complement(adj: Tuple[int, ...], n: int) -> int:
-    """Lexicographically smallest maximum-size valid complement, as a mask.
+def _best_complement(adj: Tuple[int, ...], comp: Tuple[int, ...]) -> int:
+    """Lexicographically smallest maximum-size valid complement within the
+    component ``comp`` (its ascending vertices) of the graph with masks
+    ``adj``, as a mask in the graph's labels.
 
     One depth-first branch and bound over ascending vertex choices, which
     meets the sets of each size in lexicographic order.  Each node carries
@@ -153,13 +156,14 @@ def _best_complement(adj: Tuple[int, ...], n: int) -> int:
     completion and its whole subtree is cut.
 
     Every prefix reached is valid, and one strictly larger than the best
-    so far replaces it; the search stops once the best reaches n // 2 (a
-    complement never outgrows its set, as witnesses are distinct).  The
-    cuts below drop only subtrees that hold no valid complement larger
-    than the best so far.  Any set met before the lex-first maximum M is
-    lex-smaller than M or smaller in size, so until M is met the best is
-    smaller than M and no cut drops M's subtree; M is then the first
-    maximum met, and only a strictly larger set could replace it.
+    so far replaces it; the search stops once the best reaches half the
+    component (a complement never outgrows its set, as witnesses are
+    distinct).  The cuts below drop only subtrees that hold no valid
+    complement larger than the best so far.  Any set met before the
+    lex-first maximum M is lex-smaller than M or smaller in size, so until
+    M is met the best is smaller than M and no cut drops M's subtree; M is
+    then the first maximum met, and only a strictly larger set could
+    replace it.
 
     Two cuts read the zero pool ``zero``: the vertices outside P with no
     neighbour in P.  A member added later needs a witness whose only
@@ -169,8 +173,9 @@ def _best_complement(adj: Tuple[int, ...], n: int) -> int:
     the loop stops once too few remain to beat the best.  And the
     witnesses of distinct members are distinct, so a node is cut when P
     plus the zero-pool vertices with a neighbour at or after ``start``
-    (``reach[start]``, the union of the open neighbourhoods of v >= start)
-    cannot beat the best.
+    (``reach[start]``, the union of the open neighbourhoods of the
+    component's v >= start) cannot beat the best.  Neighbourhoods never
+    leave the component, so every mask stays inside ``full``.
 
     The sole-witness cut: if a member x has a single witness w left
     (``adj[x] & one`` is one bit), no later member may neighbour w, since
@@ -178,16 +183,21 @@ def _best_complement(adj: Tuple[int, ...], n: int) -> int:
     ``adj[x] & one`` only shrinks down the tree, so N(w) is dropped from
     the node's candidates.
     """
-    full = (1 << n) - 1
-    cap = n // 2
-    reach = [0] * (n + 1)  # reach[i]: union of N(v) over v >= i
-    for v in range(n - 1, -1, -1):
-        reach[v] = reach[v + 1] | adj[v]
+    cap = len(comp) // 2
+    if not cap:  # a lone vertex has only the empty complement
+        return 0
+    # the search starts at 0 and then at v + 1 for component vertices v only
+    reach = [0] * (comp[-1] + 2)  # reach[v + 1]: union of N(w) over component w > v
+    full = 0
+    for v in reversed(comp):
+        reach[v + 1] = full
+        full |= adj[v]
+    reach[0] = full  # the whole component, as each vertex has a neighbour in it
     best_size = 0
     best = 0
 
     def extend(start: int, size: int, prefix: int, one: int, many: int) -> bool:
-        """Search below P; True once a complement of size n // 2 is found."""
+        """Search below P; True once a complement of size ``cap`` is found."""
         nonlocal best_size, best
         if size > best_size:
             best_size, best = size, prefix
@@ -236,26 +246,58 @@ def _best_complement(adj: Tuple[int, ...], n: int) -> int:
                     return True
         return False
 
-    if cap:  # a lone vertex has only the empty complement
-        extend(0, 0, 0, 0, 0)
+    extend(0, 0, 0, 0, 0)
     return best
 
 
-def _check_input(g: Graph, guard: int, what: str) -> None:
+def _min_dominating(adj: Tuple[int, ...], comp: Tuple[int, ...]) -> int:
+    """Lexicographically smallest minimum dominating set of the component
+    ``comp`` (its ascending vertices) of the graph with masks ``adj``, as a
+    mask in the graph's labels.
+
+    Depth-first over ascending vertex choices, one level per size k, so the
+    first dominating set found is the one a lexicographic scan of the
+    k-subsets returns.  The cuts are described in the module docstring.
+    The search walks positions i in ``comp``, not labels.
+    """
+    order = len(comp)
+    closed = [adj[v] | (1 << v) for v in comp]
+    reach = [0] * (order + 1)  # reach[i]: union of N[comp[j]] over j >= i
+    for i in range(order - 1, -1, -1):
+        reach[i] = reach[i + 1] | closed[i]
+    full = reach[0]  # the whole component
+    width = max(c.bit_count() for c in closed)  # most vertices one pick dominates
+
+    def extend(start: int, left: int, cover: int) -> Optional[int]:
+        missing = full ^ cover
+        if missing & ~reach[start] or missing.bit_count() > left * width:
+            return None
+        if not left:
+            return 0
+        for i in range(start, order - left + 1):
+            found = extend(i + 1, left - 1, cover | closed[i])
+            if found is not None:
+                return found | 1 << comp[i]
+        return None
+
+    for k in range(1, order + 1):
+        found = extend(0, k, 0)
+        if found is not None:
+            return found
+    raise RuntimeError("domination search found no set, not even the whole component")
+
+
+def _solve(g: Graph, guard: int, what: str, search: Callable[[Tuple[int, ...], Tuple[int, ...]], int]) -> int:
+    """Check ``g`` against ``guard``, run ``search`` in place on each of its
+    components, and OR the masks it returns, which are in ``g``'s labels."""
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
     if g.n > guard:
         raise SizeGuardError(what, g.n, guard)
-
-
-def _components(g: Graph) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """Each connected component of ``g`` as (its vertices, its masks
-    relabelled to 0..k-1 in vertex order).  A connected graph is its own
-    component and is solved in place, on ``g.adj`` itself."""
-    comps = g.components()
-    if len(comps) == 1:
-        return [(comps[0], g.adj)]
-    return [(comp, g.induced_subgraph(comp).adj) for comp in comps]
+    found = 0
+    for comp in g.components():
+        found |= search(g.adj, comp)
+    return found
 
 
 def gamma_sp(g: Graph, guard: int = DEFAULT_GUARD) -> SuperDomCertificate:
@@ -265,60 +307,18 @@ def gamma_sp(g: Graph, guard: int = DEFAULT_GUARD) -> SuperDomCertificate:
     can only be dominated from inside, so edgeless graphs (including K_1)
     come back with value n.
     """
-    _check_input(g, guard, SP_SEARCH)
-    comp_mask = 0
-    for comp, adj in _components(g):
-        local = _best_complement(adj, len(adj))
-        while local:
-            b = local & -local
-            local ^= b
-            comp_mask |= 1 << comp[b.bit_length() - 1]
-    s = VertexSet.from_mask(g.n, comp_mask ^ ((1 << g.n) - 1))
+    outside = _solve(g, guard, SP_SEARCH, _best_complement)
+    s = VertexSet.from_mask(g.n, outside ^ ((1 << g.n) - 1))
     witnesses = super_domination_witnesses(g, s)
     if witnesses is None:
         raise RuntimeError("super domination search returned an invalid complement")
     return SuperDomCertificate(s, witnesses, len(s))
 
 
-def _min_dominating(adj: Tuple[int, ...], n: int) -> Tuple[int, ...]:
-    """Lexicographically smallest minimum dominating set, as ascending vertices.
-
-    Depth-first over ascending vertex choices, one level per size k, so the
-    first dominating set found is the one a lexicographic scan of the
-    k-subsets returns.  The cuts are described in the module docstring.
-    """
-    full = (1 << n) - 1
-    closed = [adj[v] | (1 << v) for v in range(n)]
-    reach = [0] * (n + 1)  # reach[i]: union of N[v] over v >= i
-    for v in range(n - 1, -1, -1):
-        reach[v] = reach[v + 1] | closed[v]
-    width = max(c.bit_count() for c in closed)  # most vertices one pick dominates
-
-    def extend(start: int, left: int, cover: int) -> Optional[Tuple[int, ...]]:
-        missing = full ^ cover
-        if missing & ~reach[start] or missing.bit_count() > left * width:
-            return None
-        if not left:
-            return ()
-        for v in range(start, n - left + 1):
-            found = extend(v + 1, left - 1, cover | closed[v])
-            if found is not None:
-                return (v,) + found
-        return None
-
-    for k in range(1, n + 1):
-        found = extend(0, k, 0)
-        if found is not None:
-            return found
-    raise AssertionError("unreachable: the full vertex set dominates")
-
-
 def gamma(g: Graph, guard: int = DEFAULT_GUARD) -> DomCertificate:
     """Minimum dominating set of ``g`` (lexicographically smallest one)."""
-    _check_input(g, guard, DOM_SEARCH)
-    chosen = []
-    for comp, adj in _components(g):
-        chosen += [comp[v] for v in _min_dominating(adj, len(adj))]
-    s = VertexSet(g.n, chosen)
+    s = VertexSet.from_mask(g.n, _solve(g, guard, DOM_SEARCH, _min_dominating))
+    if not is_dominating(g, s):
+        raise RuntimeError("domination search returned a set that does not dominate")
     return DomCertificate(s, len(s))
 

@@ -50,7 +50,6 @@ through it, so a replaced field is checked as a given one is.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -503,10 +502,9 @@ def connected_random_pool(
 
 
 def _pick_vertex(seed: int, tag: str, n: int) -> int:
-    digest = hashlib.blake2b(
-        tag.encode(), key=(seed % (1 << 64)).to_bytes(8, "little"), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "little") % n
+    draw = families._keyed_state(seed)
+    draw.update(tag.encode())
+    return int.from_bytes(draw.digest(), "little") % n
 
 
 # ---------------------------------------------------------------------------

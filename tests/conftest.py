@@ -161,7 +161,3 @@ def edge_list_contract_clique(g: Graph, v: int) -> Graph:
 def edge_list_disjoint_union(g: Graph, h: Graph) -> Graph:
     return Graph(g.n + h.n, g.edges() + [(g.n + a, g.n + b) for a, b in h.edges()])
 
-
-def edge_list_induced_subgraph(g: Graph, vertices) -> Graph:
-    pos = {v: i for i, v in enumerate(vertices)}
-    return Graph(len(vertices), [(pos[a], pos[b]) for a, b in g.edges() if a in pos and b in pos])

@@ -1,8 +1,7 @@
 import pytest
 from hypothesis import given
-import hypothesis.strategies as st
 
-from conftest import edge_list_induced_subgraph, graphs
+from conftest import graphs
 from superdom import (
     EdgeListError,
     Graph,
@@ -86,26 +85,6 @@ class TestQueries:
         assert g.components() == [(0, 2), (1, 4), (3,)]
         assert not g.is_connected()
         assert path_graph(4).is_connected()
-
-    def test_induced_subgraph_relabels_by_position(self):
-        g = cycle_graph(5)
-        sub = g.induced_subgraph([1, 2, 3])
-        assert sub == Graph(3, [(0, 1), (1, 2)])
-
-    @given(graphs(max_n=10), st.data())
-    def test_induced_subgraph_matches_edge_list(self, g, data):
-        vertices = data.draw(st.permutations(range(g.n)).flatmap(
-            lambda order: st.integers(0, g.n).map(lambda k: order[:k])))
-        sub = g.induced_subgraph(vertices)
-        assert sub == edge_list_induced_subgraph(g, vertices)
-        rebuilt = Graph(sub.n, sub.edges())
-        assert sub == rebuilt and sub.m == rebuilt.m
-
-    def test_induced_subgraph_rejects_bad_vertices(self):
-        with pytest.raises(ValueError, match="duplicate vertex 1"):
-            path_graph(3).induced_subgraph([1, 1])
-        with pytest.raises(IndexError):
-            path_graph(3).induced_subgraph([0, 3])
 
 
 class TestVertexSet:

@@ -34,6 +34,18 @@ from superdom.solver import first_violation
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def solve_under_optimisation(stand_in, call):
+    """stderr of a ``python -O`` run that prints ``call`` after the line
+    ``stand_in`` has replaced a solver search; the run must fail before
+    printing anything."""
+    script = f"from superdom import path_graph, solver\n{stand_in}\nprint({call})\n"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1 and proc.stdout == ""
+    return proc.stderr
+
+
 class TestIsDominating:
     def test_path_middle(self):
         assert is_dominating(path_graph(3), [1])
@@ -118,6 +130,15 @@ class TestGamma:
             expected = -(-n // 3)
             assert gamma(path_graph(n), guard=64).value == expected, n
             assert gamma(cycle_graph(n), guard=64).value == expected, n
+
+    def test_invalid_search_result_raises(self, monkeypatch):
+        monkeypatch.setattr(solver, "_min_dominating", lambda adj, comp: 0)
+        with pytest.raises(RuntimeError, match="does not dominate"):
+            gamma(path_graph(3))
+
+    def test_invalid_search_result_raises_without_asserts(self):
+        stderr = solve_under_optimisation("solver._min_dominating = lambda adj, comp: 0", "solver.gamma(path_graph(3))")
+        assert "RuntimeError: domination search returned a set that does not dominate" in stderr
 
 
 class TestGammaSp:
@@ -267,23 +288,15 @@ class TestGammaSp:
         assert gamma_sp(combined).value == gamma_sp_bruteforce(combined)
 
     def test_invalid_search_result_raises(self, monkeypatch):
-        monkeypatch.setattr(solver, "_best_complement", lambda adj, n: (1 << n) - 1)
+        monkeypatch.setattr(solver, "_best_complement", lambda adj, comp: sum(1 << v for v in comp))
         with pytest.raises(RuntimeError, match="invalid complement"):
             gamma_sp(path_graph(3))
 
     def test_invalid_search_result_raises_without_asserts(self):
-        script = (
-            "from superdom import path_graph, solver\n"
-            "solver._best_complement = lambda adj, n: (1 << n) - 1\n"
-            "print(solver.gamma_sp(path_graph(3)))\n"
+        stderr = solve_under_optimisation(
+            "solver._best_complement = lambda adj, comp: sum(1 << v for v in comp)", "solver.gamma_sp(path_graph(3))"
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
-        )
-        assert proc.returncode == 1 and proc.stdout == ""
-        assert "RuntimeError: super domination search returned an invalid complement" in proc.stderr
+        assert "RuntimeError: super domination search returned an invalid complement" in stderr
 
     @given(graphs())
     @settings(deadline=None)
@@ -357,35 +370,29 @@ def _oracle_certificates(g):
 
 
 class TestInPlace:
-    """A connected graph is solved on its own masks; only a graph with
-    several components is split into relabelled copies."""
+    """Each component is searched on the graph's own masks: neither solver
+    builds a graph, whether its input is connected or not."""
 
     @pytest.mark.parametrize("g", [
         Graph(1), path_graph(7), cycle_graph(6), friendship_graph(3),
         complete_bipartite_graph(2, 3), gnp_random_graph(9, Fraction(1, 2), seed=4),
+        Graph(3), disjoint_union(disjoint_union(path_graph(4), cycle_graph(5)).graph, Graph(1)).graph,
+        disjoint_union(Graph(2), friendship_graph(1)).graph,
+        Graph(7, [(0, 2), (2, 5), (1, 4), (4, 6)]),  # two P_3 with interleaved labels, and K_1
     ], ids=repr)
-    def test_connected_graph_builds_no_subgraph(self, g, monkeypatch):
-        assert g.is_connected()
-
-        def refuse(self, vertices):
-            raise AssertionError("a connected graph was copied")
-
-        monkeypatch.setattr(Graph, "induced_subgraph", refuse)
-        assert _certificates(g) == _oracle_certificates(g)
-
-    def test_disconnected_graph_still_splits(self, monkeypatch):
-        g = disjoint_union(disjoint_union(path_graph(4), cycle_graph(5)).graph, Graph(1)).graph
+    def test_solvers_build_no_graph(self, g, monkeypatch):
+        expected = _oracle_certificates(g)
         split = []
-        induced = Graph.induced_subgraph
+        components = Graph.components
 
-        def spy(self, vertices):
-            split.append(tuple(vertices))
-            return induced(self, vertices)
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solver built a graph")
 
-        monkeypatch.setattr(Graph, "induced_subgraph", spy)
-        assert _certificates(g) == _oracle_certificates(g)
-        comps = [(0, 1, 2, 3), (4, 5, 6, 7, 8), (9,)]
-        assert split == comps + comps  # once per component, by each solver
+        monkeypatch.setattr(Graph, "__init__", refuse)
+        monkeypatch.setattr(Graph, "_of", classmethod(refuse))
+        monkeypatch.setattr(Graph, "components", lambda self: split.append(self) or components(self))
+        assert _certificates(g) == expected
+        assert split == [g, g]  # one split per solve, by each solver
 
 
 class TestBruteforce:
