@@ -24,9 +24,8 @@ P_odot_pendant          clearing around a pendant vertex keeps gamma_sp
 T_odot, T_Gv            gamma_sp(op(G,v)) <= gamma_sp(G) + floor(deg/2) - 1
                         for edge clearing / clique contraction, deg(v) >= 2
 C_combined              the averaged lower bound combining T_odot and T_Gv;
-                        :func:`check_vertex` reports these four at one
-                        (G, v), building each surgery once; the harness
-                        builds only the surgeries its selected ids read
+                        :func:`check_vertex` reports the ids of v's degree
+                        class at one (G, v), building each surgery once
 P_union                 additivity over disjoint unions
 T_chain2, C_chain_n     sum - slack <= gamma_sp <= sum for chains, with
                         slack 1 for two parts and slack = parts in general
@@ -177,24 +176,16 @@ def check_sandwich(g: Graph, instance: Optional[str] = None, guard: int = solver
     return _report("T1", instance or _default_label(g), rows, witness)
 
 
-def _closed_form_grid(max_order: int) -> Iterator[Tuple[str, families.FamilyInstance]]:
-    """(check id, instance) for every family instance of order <= max_order
-    that lies in the domain of its family's closed form."""
+def check_closed_forms(max_order: int, guard: int = solver.DEFAULT_GUARD) -> List[TheoremReport]:
+    """Solver value == closed form, for every family instance of order <=
+    max_order that lies in the domain of its family's closed form."""
+    reports = []
     for inst in families.family_grid(max_order):
         family = families.FAMILIES[inst.kind]
         if family.check_id and family.in_domain(*inst.params):
-            yield family.check_id, inst
-
-
-def _check_closed_form(inst: families.FamilyInstance, guard: int) -> TheoremReport:
-    family = families.FAMILIES[inst.kind]
-    rows = [(_sdom_cert(inst.graph, guard).value, "==", family.value(*inst.params))]
-    return _report(family.check_id, inst.label(), rows)
-
-
-def check_closed_forms(max_order: int = 12, guard: int = solver.DEFAULT_GUARD) -> List[TheoremReport]:
-    """Solver value == closed form, for every family instance of order <= max_order."""
-    return [_check_closed_form(inst, guard) for _, inst in _closed_form_grid(max_order)]
+            rows = [(_sdom_cert(inst.graph, guard).value, "==", family.value(*inst.params))]
+            reports.append(_report(family.check_id, inst.label(), rows))
+    return reports
 
 
 # The ids check_vertex reports at a vertex of degree 0, 1, and 2 or more.
@@ -217,38 +208,23 @@ def check_vertex(g: Graph, v: int, instance: Optional[str] = None, guard: int = 
     isolated v is rejected: clearing around it is a no-op and the bound
     would be false.
     """
-    return _vertex_checks(g, v, instance, guard, ALL_THEOREM_IDS)
-
-
-# The vertex checks that read the clearing around v, and the contraction of N[v].
-_READ_CLEARING = {"P_odot_pendant", "T_odot", "C_combined"}
-_READ_CONTRACTION = {"T_Gv", "C_combined"}
-
-
-def _vertex_checks(g: Graph, v: int, instance: Optional[str], guard: int, want) -> List[TheoremReport]:
-    """The checks of :func:`check_vertex` whose ids are in ``want``, built
-    from only the surgeries those checks read."""
     deg = g.degree(v)
     if deg == 0:
         raise ValueError(f"vertex {v} is isolated: the bound needs deg(v) >= 2")
-    ids = [tid for tid in _VERTEX_IDS[min(deg, 2)] if tid in want]
     base = _sdom_cert(g, guard).value
-    cleared = _sdom_cert(ops.odot(g, v), guard).value if _READ_CLEARING.intersection(ids) else None
-    contracted = _sdom_cert(ops.contract_clique(g, v), guard).value if _READ_CONTRACTION.intersection(ids) else None
+    cleared = _sdom_cert(ops.odot(g, v), guard).value
     label = instance or _default_label(g)
     witness = {"v": v, "degree": deg, "base_value": base}
+    if deg == 1:
+        return [_report("P_odot_pendant", f"odot({label},v={v})", [(cleared, "==", base)], witness)]
+    contracted = _sdom_cert(ops.contract_clique(g, v), guard).value
     slack = _op_slack(deg)
-    reports = []
-    if "P_odot_pendant" in ids:
-        reports.append(_report("P_odot_pendant", f"odot({label},v={v})", [(cleared, "==", base)], witness))
-    if "T_odot" in ids:
-        reports.append(_report("T_odot", f"odot({label},v={v})", [(cleared, "<=", base + slack)], witness))
-    if "T_Gv" in ids:
-        reports.append(_report("T_Gv", f"contract({label},v={v})", [(contracted, "<=", base + slack)], dict(witness)))
-    if "C_combined" in ids:
-        reports.append(_report("C_combined", f"combined({label},v={v})", [(base, ">=", Fraction(cleared + contracted, 2) - slack)],
-                               {"v": v, "degree": deg, "cleared_value": cleared, "contracted_value": contracted}))
-    return reports
+    return [
+        _report("T_odot", f"odot({label},v={v})", [(cleared, "<=", base + slack)], witness),
+        _report("T_Gv", f"contract({label},v={v})", [(contracted, "<=", base + slack)], dict(witness)),
+        _report("C_combined", f"combined({label},v={v})", [(base, ">=", Fraction(cleared + contracted, 2) - slack)],
+                {"v": v, "degree": deg, "cleared_value": cleared, "contracted_value": contracted}),
+    ]
 
 
 def _check_union(g1: Graph, g2: Graph, instance: str, guard: int) -> TheoremReport:
@@ -483,7 +459,7 @@ def random_pool(grid: RandomGrid) -> List[Tuple[str, Graph]]:
     return list(itertools.islice(_gnp_stream(grid.seed, grid.n_min, grid.n_max, grid.p_values), grid.count))
 
 
-def family_pool(max_order: int = 12) -> List[Tuple[str, Graph]]:
+def family_pool(max_order: int) -> List[Tuple[str, Graph]]:
     """Every named-family instance of order <= max_order."""
     return [(inst.label(), inst.graph) for inst in families.family_grid(max_order)]
 
@@ -601,6 +577,10 @@ def run_harness(cfg: HarnessConfig = DEFAULT_CONFIG) -> Tuple[List[TheoremReport
     graphs included: unions, compositions, sharpness witnesses) before any
     runs, and a plan above the size guard is a ``ValueError`` naming the
     checks, rather than a size-guard error halfway through the run.
+    :func:`check_closed_forms` runs once if any closed form is selected,
+    and :func:`check_vertex` at each vertex whose degree class has a
+    selected id; each reports all its ids, and only the selected ones are
+    kept.
     """
     want = set(cfg.theorems)
     guard = cfg.guard
@@ -621,15 +601,15 @@ def run_harness(cfg: HarnessConfig = DEFAULT_CONFIG) -> Tuple[List[TheoremReport
             if g.m:
                 plan("T1", g.n, check_sandwich, g, label, guard)
 
-    for tid, inst in _closed_form_grid(cfg.family_max_order):
-        if tid in want:
-            plan(tid, inst.graph.n, _check_closed_form, inst, guard)
+    closed = [f.check_id for f in families.FAMILIES.values() if f.check_id in want]
+    if closed:
+        plans.append((closed, cfg.family_max_order, partial(check_closed_forms, cfg.family_max_order, guard)))
 
     for label, g in [(label, g) for label, g in pool if g.n <= 10]:
         for v in range(g.n):
             ids = [tid for tid in _VERTEX_IDS[min(g.degree(v), 2)] if tid in want]
             if ids:
-                plans.append((ids, g.n, partial(_vertex_checks, g, v, label, guard, want)))
+                plans.append((ids, g.n, partial(check_vertex, g, v, label, guard)))
 
     if "P_union" in want:
         for i in range(min(cfg.union_pairs, len(pool) // 2)):
@@ -689,7 +669,7 @@ def run_harness(cfg: HarnessConfig = DEFAULT_CONFIG) -> Tuple[List[TheoremReport
         named = ", ".join(f"{tid} (order {order})" for tid, order in sorted(over.items()))
         raise ValueError(f"checks solve graphs above the size guard {guard}: {named}")
 
-    reports = [r for _, _, run in plans for r in run()]
+    reports = [r for _, _, run in plans for r in run() if r.theorem_id in want]
     reports.sort(key=attrgetter("theorem_id", "instance"))
     per: Dict[str, Dict[str, int]] = {}
     failed = 0

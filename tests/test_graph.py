@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given
 
@@ -159,6 +162,20 @@ class TestIsomorphism:
         # both 2-regular on 6 vertices
         two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         assert not is_isomorphic(cycle_graph(6), two_triangles)
+
+    def test_atlas_pairs_and_relabellings(self):
+        # the atlas lists each graph on <= 6 vertices once up to isomorphism,
+        # so every same-order pair is non-isomorphic, degree multisets
+        # equal or not, and each graph matches a shuffled copy of itself
+        nx = pytest.importorskip("networkx")
+        atlas = [Graph(h.number_of_nodes(), list(h.edges())) for h in nx.graph_atlas_g() if h.number_of_nodes() <= 6]
+        pairs = [(g, h) for g, h in itertools.combinations(atlas, 2) if g.n == h.n]
+        assert len(pairs) == 12713
+        assert not any(is_isomorphic(g, h) for g, h in pairs)
+        for seed, g in enumerate(atlas):
+            perm = list(range(g.n))
+            random.Random(seed).shuffle(perm)
+            assert is_isomorphic(g, Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
 
     def test_relabeled_graphs(self):
         g = friendship_graph(3)

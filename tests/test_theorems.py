@@ -419,6 +419,8 @@ class TestHarness:
 
 
 VERTEX_IDS = ("P_odot_pendant", "T_odot", "T_Gv", "C_combined")
+# the vertex ids plus one closed form with instances at order <= 6
+MIXED_IDS = VERTEX_IDS + ("T2iv",)
 # the random draws run n = 4..11, so the n <= 10 cut of the vertex pool bites
 VERTEX_CONFIG = HarnessConfig(
     theorems=VERTEX_IDS,
@@ -454,18 +456,33 @@ class TestVertexHarness:
         run_harness(VERTEX_CONFIG._replace(theorems=("P_odot_pendant",)))
         assert calls == {"odot": degrees[1]}
 
-    @pytest.mark.parametrize("tid,unused", [("T_odot", "contract_clique"), ("T_Gv", "odot")])
-    def test_one_selected_surgery_builds_only_that_surgery(self, tid, unused, monkeypatch):
-        calls = []
-        monkeypatch.setattr(ops, unused, lambda *args: calls.append(args))
-        reports, summary = run_harness(HarnessConfig(theorems=(tid,)))
-        assert reports and summary["failed"] == 0 and calls == []
+    def test_each_check_group_runs_through_its_public_check(self, monkeypatch):
+        # check_closed_forms runs once when a closed form is selected, and
+        # check_vertex once per vertex whose degree class is selected: the
+        # 43 pendant and 109 degree >= 2 vertices counted above
+        calls = Counter()
+        for name in ("check_closed_forms", "check_vertex"):
+            def spy(*args, _name=name, _check=getattr(theorems, name)):
+                calls[_name] += 1
+                return _check(*args)
+            monkeypatch.setattr(theorems, name, spy)
+        run_harness(VERTEX_CONFIG)
+        assert calls == {"check_vertex": 152}
+        calls.clear()
+        run_harness(VERTEX_CONFIG._replace(theorems=MIXED_IDS))
+        assert calls == {"check_closed_forms": 1, "check_vertex": 152}
+        calls.clear()
+        run_harness(VERTEX_CONFIG._replace(theorems=("T2i", "T_Fn")))
+        assert calls == {"check_closed_forms": 1}
+        calls.clear()
+        run_harness(VERTEX_CONFIG._replace(theorems=("P_union",)))
+        assert calls == {}
 
-    @pytest.mark.parametrize("tid", VERTEX_IDS)
+    @pytest.mark.parametrize("tid", MIXED_IDS)
     def test_selecting_one_id_reports_only_its_rows(self, tid):
         alone = _vertex_run((tid,))
         assert alone and {r.theorem_id for r in alone} == {tid}
-        assert alone == [r for r in _vertex_run(VERTEX_IDS) if r.theorem_id == tid]
+        assert alone == [r for r in _vertex_run(MIXED_IDS) if r.theorem_id == tid]
 
 
 # The value types a report holds: dicts with str keys, lists, str, bool, int.
