@@ -118,9 +118,10 @@ def cmd_gamma(args) -> int:
 def cmd_check(args) -> int:
     g = _load_graph(args.file)
     members = [int(x) for x in args.set.split(",")] if args.set else []
-    repeated = sorted({v for v in members if members.count(v) > 1})
+    seen = set()
+    repeated = [v for v in members if v in seen or seen.add(v)]
     if repeated:
-        raise ValueError(f"--set lists vertex {repeated[0]} more than once")
+        raise ValueError(f"--set lists vertex {min(repeated)} more than once")
     witnesses = solver.super_domination_witnesses(g, members)
     if witnesses is None:
         violation = solver.first_violation(g, members)

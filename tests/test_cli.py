@@ -187,6 +187,10 @@ class TestCheck:
         assert main(["check", c4, "--set", "0,0,2"]) == 2
         assert "--set lists vertex 0 more than once" in capsys.readouterr().err
 
+    def test_duplicate_index_names_the_smallest_repeat(self, c4, capsys):
+        assert main(["check", c4, "--set", "3,1,3,0,1"]) == 2
+        assert "--set lists vertex 1 more than once" in capsys.readouterr().err
+
 
 class TestOp:
     def test_odot_then_solve(self, tmp_path, capsys):

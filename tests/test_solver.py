@@ -263,13 +263,66 @@ class TestGammaSp:
     def test_zero_pool_cuts_bound_the_search(self, n, p, seed, nodes):
         # a weakened cut still returns every certificate unchanged, so only
         # the number of search nodes entered can show it (without the two
-        # zero-pool cuts these graphs take 447 and 359)
+        # zero-pool cuts these graphs take 354 and 245; both passes count)
         assert self.nodes_entered(gnp_random_graph(n, p, seed)) <= nodes
 
     def test_sole_witness_cut_bounds_the_search(self):
         # without dropping the neighbours of a member's last witness from
-        # the candidates this graph takes 5586 nodes
+        # the candidates this graph takes 1412 nodes, which only the tighter
+        # pin below catches; 3260 is the one-pass search without the pair cut
         assert self.nodes_entered(gnp_random_graph(24, Fraction(1, 4), 5)) <= 3260
+
+    def test_two_passes_and_pair_cut_bound_the_search(self):
+        # the one-pass search takes 3260 nodes here, 2726 with the pair cut
+        # alone, 1722 with the two passes alone, 2746 when the value pass
+        # keeps the graph's labels, and 1266 when the lex pass starts from
+        # no floor
+        assert self.nodes_entered(gnp_random_graph(24, Fraction(1, 4), 5)) <= 1265
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_certificates_match_downward_search_around_two_pass_order(self, seed):
+        orders = set()
+        for n in range(10, 17):
+            for p in (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)):
+                g = gnp_random_graph(n, p, seed)
+                orders.update(len(comp) for comp in g.components())
+                self.assert_matches_downward_search(g)
+        assert {solver._TWO_PASS_ORDER - 1, solver._TWO_PASS_ORDER} <= orders
+
+    @pytest.mark.parametrize("p", [Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)])
+    def test_two_passes_match_one_pass_in_label_order(self, p):
+        for n in range(12, 25):
+            g = gnp_random_graph(n, p, n)
+            one_pass = 0
+            for comp in g.components():
+                one_pass |= solver._best_complement(g.adj, comp)
+            assert gamma_sp(g).vertices.complement().mask == one_pass
+
+    @pytest.mark.parametrize("n,p,seed", [(12, Fraction(1, 4), 0), (16, Fraction(1, 8), 1), (20, Fraction(1, 2), 2)])
+    def test_floor_and_cap_give_the_lex_first_maximum(self, n, p, seed):
+        g = gnp_random_graph(n, p, seed)
+        for comp in g.components():
+            best = solver._best_complement(g.adj, comp)
+            value = best.bit_count()
+            assert solver._best_complement(g.adj, comp, value - 1, value) == best
+            # nothing beats a floor at the value, so no set comes back
+            assert solver._best_complement(g.adj, comp, value, value + 1) == 0
+
+    def test_lost_value_raises(self, monkeypatch):
+        search = solver._best_complement
+        monkeypatch.setattr(
+            solver, "_best_complement", lambda adj, comp, floor=0, cap=None: 0 if cap else search(adj, comp)
+        )
+        with pytest.raises(RuntimeError, match="lost the value 6"):
+            gamma_sp(path_graph(12))
+
+    def test_lost_value_raises_without_asserts(self):
+        stderr = solve_under_optimisation(
+            "search = solver._best_complement\n"
+            "solver._best_complement = lambda adj, comp, floor=0, cap=None: 0 if cap else search(adj, comp)",
+            "solver.gamma_sp(path_graph(12))",
+        )
+        assert "RuntimeError: super domination search lost the value 6" in stderr
 
     def test_certificates_match_oracles_on_graph_atlas(self):
         # every graph on 1..7 vertices, up to isomorphism
