@@ -28,9 +28,9 @@ graph's own labels with the best set to one below the value and the cap
 at the value, so it stops at the first set of that size, which is the
 lexicographically smallest maximum; finding none raises
 :class:`RuntimeError`.  Below order 12 the second pass costs more than it
-saves (over seeded ``G(n,p)`` graphs the two-pass time was 2.3 times the
-one-pass time at order 4, 1.05 at 11, 0.93 at 12 and 0.55 at 24), so
-small components take the one pass.
+saves: over connected ``G(n,p)`` graphs, four p and 30 seeds per order,
+the two-pass time was 2.2 times the one-pass time at order 4, 1.04 at
+11, 0.97 at 12 and 0.57 at 24.  So smaller components take one pass.
 
 Connected components are solved separately and their certificates merged,
 which is value-exact (validity of a complement is a per-component

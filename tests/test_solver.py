@@ -268,8 +268,8 @@ class TestGammaSp:
 
     def test_sole_witness_cut_bounds_the_search(self):
         # without dropping the neighbours of a member's last witness from
-        # the candidates this graph takes 1412 nodes, which only the tighter
-        # pin below catches; 3260 is the one-pass search without the pair cut
+        # the candidates this graph takes 1412 nodes: under this bound, the
+        # one-pass search's count, but over the tighter pin below
         assert self.nodes_entered(gnp_random_graph(24, Fraction(1, 4), 5)) <= 3260
 
     def test_two_passes_and_pair_cut_bound_the_search(self):
