@@ -5,21 +5,31 @@ mechanism.  Exit codes: 0 success, 1 check/bound violation, 2 usage or
 parse error, 3 size guard exceeded.  JSON output is emitted with sorted
 keys so identical invocations are byte-identical.
 
+The command line is read from one table, ``OPTIONS`` and ``COMMANDS``,
+which also renders the usage lines and -h.  It reads what argparse read
+(global options before the command, ``--opt=value``, unique prefixes of
+long options, options among or after the operands, negative numbers as
+values) and refuses what argparse refused, with the same messages, but
+for an unknown ``gen`` family, which ``gen`` itself refuses.  JSON
+is written by ``_dump``, byte for byte as ``json.dumps(obj,
+sort_keys=True, indent=2)`` writes it.  Neither ``argparse`` nor ``json``
+is imported for a solve; ``verify`` imports ``json`` to read its config.
+
 Only ``graph`` and ``solver`` are imported at the top: ``gamma``,
 ``gamma-sp`` and ``check`` run nothing else.  The other layers are
 imported where they are used: ``ops`` by ``op``, ``theorems`` by
-``verify``, and ``families`` by ``gen`` and by ``build_parser`` for the
-family names.  A solve thus never loads the compositions or the harness.
+``verify``, and ``families`` by ``gen``, which leaves an unknown family
+name to ``families.build_family``, and by ``gen -h`` for the names.  A
+solve thus never loads the generators, the compositions or the harness.
 ``gamma`` and ``gamma-sp`` hand their guard to the edge-list reader, so a
 file above it is refused before its graph is built.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
+from types import SimpleNamespace
 from typing import List, Optional
 
 from . import solver
@@ -31,8 +41,48 @@ EXIT_USAGE = 2
 EXIT_GUARD = 3
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+_ESCAPES = {"\\": "\\\\", '"': '\\"', "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _quote(text: str) -> str:
+    """A JSON string literal escaped as ``json`` escapes it, non-ASCII as ``\\u`` escapes."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    out = []
+    for ch in text:
+        code = ord(ch)
+        if ch in _ESCAPES:
+            out.append(_ESCAPES[ch])
+        elif 0x20 <= code < 0x7F:
+            out.append(ch)
+        elif code < 0x10000:
+            out.append(f"\\u{code:04x}")
+        else:
+            code -= 0x10000
+            out.append(f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}")
+    return '"' + "".join(out) + '"'
+
+
+def _dump(obj, indent: str = "") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` for the str-keyed dicts,
+    lists, bools, ints and strs the commands print, without ``json``."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{inner}{_quote(key)}: {_dump(value, inner)}" for key, value in sorted(obj.items())]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        return "[\n" + ",\n".join(inner + _dump(value, inner) for value in obj) + "\n" + indent + "]"
+    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
 
 
 def _load_graph(path: str, guard: Optional[int] = None, what: str = "") -> Graph:
@@ -73,7 +123,7 @@ def cmd_gen(args) -> int:
             raise ValueError("gnp_random takes: n p (p as num/den); seed via --seed")
         p = families._as_probability(params[1])
         params = (int(params[0]), p.numerator, p.denominator, args.seed)
-    else:
+    elif args.family in families.FAMILIES:  # build_family refuses any other kind
         params = tuple(int(x) for x in params)
     inst = families.build_family(args.family, params)
     meta = {
@@ -191,6 +241,8 @@ def cmd_op(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import json
+
     from . import theorems
 
     if args.config in (None, "default"):
@@ -234,65 +286,244 @@ def cmd_verify(args) -> int:
     return EXIT_OK if summary["failed"] == 0 else EXIT_VIOLATION
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _family_kinds():
     from .families import FAMILY_KINDS
 
-    parser = argparse.ArgumentParser(
-        prog="superdom",
-        description="Exact super domination solver and bound verification toolkit.",
-    )
-    parser.add_argument("--guard-n", type=int, metavar="N",
-                        help=f"size guard for the exact solvers (default {solver.DEFAULT_GUARD})")
-    parser.add_argument("--format", choices=("json", "text"), default="json",
-                        help="output format (default %(default)s)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for random generation")
-    sub = parser.add_subparsers(dest="command", required=True)
+    return FAMILY_KINDS
 
-    p_gen = sub.add_parser("gen", help="generate a named family instance")
-    p_gen.add_argument("family", choices=FAMILY_KINDS)
-    p_gen.add_argument("params", nargs="+", help="family parameters (gnp_random: n num/den)")
-    p_gen.add_argument("--out", help="edge-list output path (default stdout)")
-    p_gen.set_defaults(func=cmd_gen)
 
-    p_gsp = sub.add_parser("gamma-sp", help="minimum super dominating set with witnesses")
-    p_gsp.add_argument("file", help="edge-list file")
-    p_gsp.set_defaults(func=cmd_gamma_sp)
+# The command line, stated once: the parser, the usage lines and -h all
+# read these tables.  An option maps its flag to (dest, metavar, type,
+# choices, default, required, help); an operand is (name, arity, choices,
+# help), with arity 1, "+" (one or more) or "..." (the command and all that
+# follows it).  ``choices`` is a tuple the parser enforces, or a function
+# naming what the command checks itself, called only to print usage.
+# Command ``c`` runs ``cmd_c`` (dashes as underscores), looked up when it
+# runs.
+OPTIONS = {
+    "--guard-n": ("guard_n", "N", int, None, None, False,
+                  f"size guard for the exact solvers (default {solver.DEFAULT_GUARD})"),
+    "--format": ("format", None, None, ("json", "text"), "json", False, "output format (default json)"),
+    "--seed": ("seed", None, int, None, 0, False, "seed for random generation"),
+}
+_FILE = ("file", 1, None, "edge-list file")
+_OUT = ("out", None, None, None, None, False, "edge-list output path (default stdout)")
+COMMANDS = {
+    "gen": ("generate a named family instance",
+            [("family", 1, _family_kinds, None),
+             ("params", "+", None, "family parameters (gnp_random: n num/den)")],
+            {"--out": _OUT}),
+    "gamma-sp": ("minimum super dominating set with witnesses", [_FILE], {}),
+    "gamma": ("minimum dominating set", [_FILE], {}),
+    "check": ("test whether a set super dominates", [_FILE],
+              {"--set": ("set", None, None, None, None, True, "comma-separated vertex indices")}),
+    "op": ("apply a graph operation",
+           [("operation", 1, tuple(OP_OPERANDS), None),
+            ("args", "+", None, "; ".join(f"{name}: {operands}" for name, operands in OP_OPERANDS.items()))],
+           {"--out": _OUT}),
+    "verify": ("run the bound verification harness", [],
+               {"--config": ("config", None, None, None, None, False, "config JSON path, or 'default'"),
+                "--out": ("out", None, None, None, None, False, "report output path (default stdout)")}),
+}
+_PROG = "superdom"
+_DESCRIPTION = "Exact super domination solver and bound verification toolkit."
+_COMMAND = ("command", "...", tuple(COMMANDS), None)
 
-    p_g = sub.add_parser("gamma", help="minimum dominating set")
-    p_g.add_argument("file", help="edge-list file")
-    p_g.set_defaults(func=cmd_gamma)
 
-    p_check = sub.add_parser("check", help="test whether a set super dominates")
-    p_check.add_argument("file", help="edge-list file")
-    p_check.add_argument("--set", required=True, help="comma-separated vertex indices")
-    p_check.set_defaults(func=cmd_check)
+def _braces(choices) -> str:
+    return "{" + ",".join(choices() if callable(choices) else choices) + "}"
 
-    p_op = sub.add_parser("op", help="apply a graph operation")
-    p_op.add_argument("operation", choices=tuple(OP_OPERANDS))
-    p_op.add_argument("args", nargs="+",
-                      help="; ".join(f"{name}: {operands}" for name, operands in OP_OPERANDS.items()))
-    p_op.add_argument("--out", help="edge-list output path (default stdout)")
-    p_op.set_defaults(func=cmd_op)
 
-    p_verify = sub.add_parser("verify", help="run the bound verification harness")
-    p_verify.add_argument("--config", help="config JSON path, or 'default'")
-    p_verify.add_argument("--out", help="report output path (default stdout)")
-    p_verify.set_defaults(func=cmd_verify)
+def _option_metavar(dest, metavar, choices) -> str:
+    return metavar or (_braces(choices) if choices else dest.upper())
 
-    return parser
+
+def _operand_metavar(name, arity, choices) -> str:
+    mv = _braces(choices) if choices else name
+    return {1: mv, "+": f"{mv} [{mv} ...]", "...": f"{mv} ..."}[arity]
+
+
+def _usage(prog, operands, options) -> str:
+    parts = [prog, "[-h]"]
+    for flag, (dest, metavar, _, choices, _, required, _) in options.items():
+        part = f"{flag} {_option_metavar(dest, metavar, choices)}"
+        parts.append(part if required else f"[{part}]")
+    parts += [_operand_metavar(name, arity, choices) for name, arity, choices, _ in operands]
+    return "usage: " + " ".join(parts)
+
+
+def _help(prog, operands, options, description=None) -> str:
+    """The -h text, laid out as argparse lays it out on a wide terminal."""
+    listed = []
+    for name, arity, choices, text in operands:
+        listed.append((2, _operand_metavar(name, 1, choices), text))
+        if arity == "...":
+            listed += [(4, command, entry[0]) for command, entry in COMMANDS.items()]
+    flags = [(2, "-h, --help", "show this help message and exit")] + [
+        (2, f"{flag} {_option_metavar(dest, metavar, choices)}", text)
+        for flag, (dest, metavar, _, choices, _, _, text) in options.items()
+    ]
+    column = min(max(indent + len(name) for indent, name, _ in listed + flags) + 2, 24)
+
+    def line(indent, name, text):
+        if text is None:
+            return " " * indent + name
+        if len(name) <= column - indent - 2:
+            return " " * indent + name.ljust(column - indent - 2) + "  " + text
+        return " " * indent + name + "\n" + " " * column + text
+
+    sections = [_usage(prog, operands, options)] + ([description] if description else [])
+    if listed:
+        sections.append("positional arguments:\n" + "\n".join(line(*row) for row in listed))
+    sections.append("options:\n" + "\n".join(line(*row) for row in flags))
+    return "\n\n".join(sections) + "\n"
+
+
+def _usage_error(prog, operands, options, message: str) -> None:
+    """Exit 2 with argparse's two stderr lines."""
+    sys.stderr.write(f"{_usage(prog, operands, options)}\n{prog}: error: {message}\n")
+    raise SystemExit(EXIT_USAGE)
+
+
+def _check_choice(name: str, value, choices, fail) -> None:
+    if type(choices) is tuple and value not in choices:
+        fail(f"argument {name}: invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})")
+
+
+def _is_negative_number(token: str) -> bool:
+    whole, dot, frac = token[1:].partition(".")
+    return (whole == "" or whole.isdecimal()) and (frac.isdecimal() if dot else whole != "")
+
+
+def _flag(token: str, flags, fail):
+    """How argparse reads ``token`` against ``flags``: None for an operand,
+    else the pair (flag, attached value or None), flag None for an unknown
+    option.  A long flag may be cut to a unique prefix; ``--flag=value``
+    and ``-hvalue`` attach a value."""
+    if token[:1] != "-" or token in ("-", "--"):
+        return None
+    if token in flags:
+        return token, None
+    if token[1] == "-":
+        name, eq, value = token.partition("=")
+        found = [f for f in flags if f == name] or [f for f in flags if f.startswith(name)]
+        if len(found) > 1:
+            fail(f"ambiguous option: {token} could match {', '.join(found)}")
+        if found:
+            return found[0], value if eq else None
+    elif token[1] == "h":
+        value = token[2:]
+        return "-h", value[1:] if value[:1] == "=" else value
+    if _is_negative_number(token) or " " in token:
+        return None
+    return None, None
+
+
+def _read(prog, operands, options, argv, args, description=None):
+    """Fill ``args`` from ``argv`` as argparse reads one parser's arguments:
+    options anywhere, each run of operands between options filling as many
+    operands as it can, ``--`` ending the options.  Return the tokens
+    nothing took and the tokens after the command (None below it)."""
+    def fail(message):
+        _usage_error(prog, operands, options, message)
+
+    for dest, _, _, _, default, _, _ in options.values():
+        setattr(args, dest, default)
+    for name, *_ in operands:
+        setattr(args, name, None)
+    todo, run, extras, seen = list(operands), [], [], set()
+    literal = False
+
+    def fill():
+        while run and todo:
+            name, arity, choices, _ = todo.pop(0)
+            values = run[:] if arity == "+" else run[:1]
+            del run[:len(values)]
+            for value in values:
+                _check_choice(name, value, choices, fail)
+            setattr(args, name, values if arity == "+" else values[0])
+        extras.extend(run)
+        run.clear()
+
+    flags = ("-h", "--help", *options)
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        found = None if literal else _flag(token, flags, fail)
+        if found is None:
+            if todo and todo[0][1] == "...":
+                name, _, choices, _ = todo.pop(0)
+                _check_choice(name, token, choices, fail)
+                setattr(args, name, token)
+                return extras, argv[i:]
+            if token == "--" and not literal:
+                literal = True
+            else:
+                run.append(token)
+            continue
+        fill()
+        flag, value = found
+        if flag is None:
+            extras.append(token)
+        elif flag in ("-h", "--help"):
+            if value is not None:
+                fail(f"argument -h/--help: ignored explicit argument {value!r}")
+            sys.stdout.write(_help(prog, operands, options, description))
+            raise SystemExit(EXIT_OK)
+        else:
+            dest, _, convert, choices, _, _, _ = options[flag]
+            if value is None:
+                if i < len(argv) and argv[i] == "--" and not literal:
+                    literal = True
+                    i += 1
+                if i == len(argv) or (not literal and _flag(argv[i], flags, fail) is not None):
+                    fail(f"argument {flag}: expected one argument")
+                value = argv[i]
+                i += 1
+            if convert is not None:
+                try:
+                    value = convert(value)
+                except (TypeError, ValueError):
+                    fail(f"argument {flag}: invalid {convert.__name__} value: {value!r}")
+            _check_choice(flag, value, choices, fail)
+            setattr(args, dest, value)
+            seen.add(flag)
+    fill()
+    missing = [name for name, *_ in todo] + [
+        flag for flag, spec in options.items() if spec[5] and flag not in seen
+    ]
+    if missing:
+        fail(f"the following arguments are required: {', '.join(missing)}")
+    return extras, None
+
+
+def parse_args(argv: List[str]) -> SimpleNamespace:
+    """The command line as ``cmd_*`` handlers read it, ``func`` being the handler.
+
+    Usage errors exit 2 and -h exits 0, as argparse did.
+    """
+    args = SimpleNamespace()
+    extras, rest = _read(_PROG, [_COMMAND], OPTIONS, argv, args, _DESCRIPTION)
+    _, operands, options = COMMANDS[args.command]
+    more, _ = _read(f"{_PROG} {args.command}", operands, options, rest, args)
+    args.func = globals()["cmd_" + args.command.replace("-", "_")]
+    extras += more
+    if extras:
+        _usage_error(_PROG, [_COMMAND], OPTIONS, f"unrecognized arguments: {' '.join(extras)}")
+    if args.guard_n is not None and args.guard_n < 1:
+        _usage_error(_PROG, [_COMMAND], OPTIONS, f"argument --guard-n: must be at least 1, got {args.guard_n}")
+    return args
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.guard_n is not None and args.guard_n < 1:
-        parser.error(f"argument --guard-n: must be at least 1, got {args.guard_n}")
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (EdgeListError, ValueError, IndexError, OSError, json.JSONDecodeError) as exc:
+    except (EdgeListError, ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -18,12 +18,11 @@ checks attach compositions at specific vertices:
 * stars K_{1,n}: centre 0, leaves 1..n;
 * friendship F_n: centre 0 with the n triangles {0, 2i-1, 2i}.
 
-Every command imports this module, since ``cli.build_parser`` reads
-:data:`FAMILY_KINDS` for ``gen``'s choices, so it imports at the top only
-what building the table needs.  ``fractions`` (which loads ``decimal``) is
-imported in :func:`_as_probability`, and ``hashlib.blake2b`` (which loads
-OpenSSL) in :func:`_keyed_state`, so only ``gen gnp_random`` and the
-harness load them.  The ``blake2b`` import, and the keying of the hash
+``gen``, ``gen -h`` and ``verify`` import this module, so it imports at
+the top only what building the table needs.  ``fractions`` (which loads
+``decimal``) is imported in :func:`_as_probability`, and
+``hashlib.blake2b`` (which loads OpenSSL) in :func:`_keyed_state`, so
+only ``gen gnp_random`` and the harness load them.  The ``blake2b`` import, and the keying of the hash
 state, run once per graph; each vertex pair copies that keyed state, which
 digests its index exactly as a freshly keyed ``blake2b`` would.
 """

@@ -346,6 +346,15 @@ class TestVerify:
         cfg.write_text("{not json")
         assert main(["verify", "--config", str(cfg)]) == 2
 
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys):
+        # the JSON decoder's error is a ValueError, caught without naming it
+        cfg = tmp_path / "bad.json"
+        cfg.write_text('{"theorems": ["T1"],}')
+        assert main(["verify", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Expecting property name enclosed in double quotes")
+
     @pytest.mark.parametrize("config, message", [
         ({"theorems": ["T1"], "random": {"n_min": 8, "n_max": 7}}, "n_min <= n_max"),
         ({"theorems": ["T1"], "random": {"count": -5}}, "count must be >= 0"),
@@ -596,6 +605,22 @@ class TestImportBudget:
         loaded = _modules_loaded(f"from superdom.cli import main\nassert main(['verify', '--config', {str(cfg)!r}]) == 0")
         assert "superdom.theorems" in loaded
         assert not loaded & {"dataclasses", "inspect"}
+
+    @pytest.mark.parametrize("argv", [["gamma"], ["gamma-sp"], ["check", "--set", "0,2,4"]], ids=lambda a: a[0])
+    def test_solve_command_loads_no_parser_json_or_other_layer(self, p5, argv):
+        # one fresh process per command; the modules counted are those
+        # loaded from just before ``import superdom.cli`` to after ``main``
+        argv = [argv[0], p5, *argv[1:]]
+        code = (
+            "import sys\nbefore = set(sys.modules)\nfrom superdom import cli\n"
+            f"code = cli.main({argv!r})\nprint()\nprint(code, *sorted(set(sys.modules) - before))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        exit_code, *loaded = proc.stdout.splitlines()[-1].split()
+        assert exit_code == "0" and "superdom.solver" in loaded
+        forbidden = {"argparse", "json", "gettext", "locale", "superdom.families", "superdom.ops", "superdom.theorems"}
+        assert not forbidden & set(loaded)
 
     def test_bare_package_import_loads_no_layer(self):
         assert _modules_loaded("import superdom") == set()

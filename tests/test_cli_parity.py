@@ -1,0 +1,274 @@
+"""The table-driven command line against what it replaced.
+
+``cli.parse_args`` is checked against the argparse parser it replaced
+(``reference_parser``), and ``cli._dump`` against
+``json.dumps(..., sort_keys=True, indent=2)``.
+"""
+
+import ast
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given
+
+import reference_parser
+from superdom import cli, families, solver
+from superdom.graph import Graph
+
+ACCEPTED = [
+    ["gamma", "g.el"],
+    ["gamma-sp", "g.el"],
+    ["gamma", "/nonexistent/g.el"],
+    ["--guard-n", "12", "gamma-sp", "g.el"],
+    ["--guard-n=12", "gamma", "g.el"],
+    ["--guard", "5", "gamma", "g.el"],
+    ["--g=5", "gamma-sp", "g.el"],
+    ["--format", "text", "gamma-sp", "g.el"],
+    ["--format", "json", "--format", "text", "gamma", "g.el"],
+    ["--form=text", "check", "g.el", "--set", "1,2"],
+    ["check", "g.el", "--set", "1,2"],
+    ["check", "--set", "1,2", "g.el"],
+    ["check", "g.el", "--set=-1"],
+    ["check", "g.el", "--set", "-1"],
+    ["check", "g.el", "--se", "0"],
+    ["gamma", "--", "-g.el"],
+    ["check", "--set", "0", "--", "-g.el"],
+    ["--seed", "7", "gen", "gnp_random", "8", "1/2"],
+    ["--seed=-3", "gen", "path", "5"],
+    ["gen", "path", "5", "--out", "f.el"],
+    ["gen", "--out", "f.el", "path", "5"],
+    ["gen", "path", "--out", "f.el", "5"],
+    ["gen", "complete_bipartite", "2", "3", "--o=f.el"],
+    ["gen", "path", "-5"],
+    ["gen", "path", "3", "4"],
+    ["op", "odot", "g.el", "0", "--out", "o.el"],
+    ["op", "contract", "g.el", "1"],
+    ["op", "chain", "a.el:1:1", "b.el:0:2"],
+    ["op", "--out", "o.el", "bouquet", "a.el:0", "b.el:0"],
+    ["op", "union", "a.el", "b.el"],
+    ["verify"],
+    ["verify", "--config", "default", "--out", "r.json"],
+    ["--guard-n", "14", "verify", "--conf", "c.json"],
+    ["--format", "text", "--guard-n", "20", "--seed", "1", "verify", "--out=r.json"],
+]
+
+REFUSED = [
+    [],
+    ["nope", "g.el"],
+    ["--", "gamma", "g.el"],
+    ["--format", "xml", "gamma", "g.el"],
+    ["--format", "xml", "-h"],
+    ["--guard-n", "x", "gamma", "g.el"],
+    ["--guard-n", "0", "gamma", "g.el"],
+    ["--guard-n", "-1", "gamma-sp", "g.el"],
+    ["--guard-n"],
+    ["--seed", "x", "gen", "path", "5"],
+    ["--seed", "3"],
+    ["gamma"],
+    ["gamma-sp"],
+    ["check", "g.el"],
+    ["check"],
+    ["check", "g.el", "--set"],
+    ["check", "g.el", "--set", "-1,2"],
+    ["gen"],
+    ["gen", "path"],
+    ["gen", "path", "5", "--out", "f.el", "6"],
+    ["op", "nope", "g.el"],
+    ["op", "odot"],
+    ["gamma", "a.el", "b.el"],
+    ["gamma", "g.el", "--format", "text"],
+    ["gamma", "g.el", "--bogus"],
+    ["--bogus", "gamma", "g.el"],
+    ["-x", "gamma", "g.el"],
+    ["gamma", "-hx"],
+    ["gamma", "--help=x"],
+    ["verify", "--out"],
+]
+
+HELP = [
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["--guard-n", "5", "-h"],
+    ["-h", "gamma"],
+    ["gen", "-h"],
+    ["gamma-sp", "--help"],
+    ["gamma", "g.el", "-h"],
+    ["check", "-h"],
+    ["op", "odot", "-h"],
+    ["verify", "-h"],
+]
+
+
+def _run(parse, argv, capsys):
+    """(exit code or None, namespace or None, stdout, stderr) of one parse."""
+    try:
+        args, code = parse(argv), None
+    except SystemExit as exc:
+        args, code = None, exc.code
+    captured = capsys.readouterr()
+    return code, args, captured.out, captured.err
+
+
+@pytest.fixture
+def wide(monkeypatch):
+    # argparse wraps its usage and help to the terminal width; the
+    # table-driven parser never wraps
+    monkeypatch.setenv("COLUMNS", "1000")
+
+
+def test_corpus_covers_every_command():
+    assert len(ACCEPTED) + len(REFUSED) + len(HELP) >= 40
+    for corpus in (ACCEPTED, HELP):
+        assert set(cli.COMMANDS) <= {token for argv in corpus for token in argv}
+
+
+@pytest.mark.parametrize("argv", ACCEPTED, ids=" ".join)
+def test_accepted_argv_give_the_same_namespace(argv, wide, capsys):
+    ref = _run(reference_parser.parse, argv, capsys)
+    new = _run(cli.parse_args, argv, capsys)
+    assert ref[0] is None and new[0] is None, (ref[3], new[3])
+    want, got = vars(ref[1]), vars(new[1])
+    assert got.pop("func") is want.pop("func")
+    assert got == want
+
+
+@pytest.mark.parametrize("argv", REFUSED, ids=" ".join)
+def test_refused_argv_exit_2_with_the_same_message(argv, wide, capsys):
+    ref = _run(reference_parser.parse, argv, capsys)
+    new = _run(cli.parse_args, argv, capsys)
+    assert ref[0] == new[0] == 2
+    assert new[2] == "" and new[3].startswith("usage: superdom") and "error: " in new[3]
+    assert new[3] == ref[3]
+
+
+@pytest.mark.parametrize("argv", HELP, ids=" ".join)
+def test_help_exits_0_with_the_same_text(argv, wide, capsys):
+    ref = _run(reference_parser.parse, argv, capsys)
+    new = _run(cli.parse_args, argv, capsys)
+    assert ref[0] == new[0] == 0
+    assert new[2] == ref[2] and new[3] == ref[3] == ""
+
+
+def test_readme_shows_the_help_and_every_usage_line(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    with pytest.raises(SystemExit):
+        cli.parse_args(["-h"])
+    assert capsys.readouterr().out in readme
+    for command in cli.COMMANDS:
+        with pytest.raises(SystemExit):
+            cli.parse_args([command, "-h"])
+        usage = capsys.readouterr().out.splitlines()[0]
+        assert f"`{usage.removeprefix('usage: ')}`" in readme
+
+
+def test_unknown_family_is_refused_by_build_family(capsys):
+    # argparse listed the kinds as choices; now gen hands any name to
+    # families.build_family, so solves need not import families
+    args = cli.parse_args(["gen", "nope", "x"])
+    assert args.family == "nope" and args.func is cli.cmd_gen
+    assert cli.main(["gen", "nope", "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown family kind 'nope', expected one of {families.FAMILY_KINDS}\n"
+
+
+def test_no_module_imports_argparse():
+    imported = set()
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module)
+    assert "json" in imported and "argparse" not in imported
+
+
+def _same_as_json(obj):
+    assert cli._dump(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def _certificate_outputs(g, checks_too=True):
+    """Every object the solve commands print for ``g``."""
+    cert = solver.gamma_sp(g, guard=24)
+    yield cli._cert_json(cert)
+    dom = solver.gamma(g, guard=24)
+    yield {"value": dom.value, "set": list(dom.vertices)}
+    if checks_too:
+        chosen = list(cert.vertices)
+        for members in (chosen, chosen[:-1], list(dom.vertices), []):
+            witnesses = solver.super_domination_witnesses(g, members)
+            if witnesses is None:
+                yield {"super_dominating": False, "violation": solver.first_violation(g, members)}
+            else:
+                yield {"super_dominating": True, "witnesses": cli._witness_json(witnesses)}
+
+
+def test_dump_matches_json_on_the_atlas():
+    atlas = pytest.importorskip("networkx").graph_atlas_g()
+    outcomes = set()
+    for h in atlas[1:]:
+        g = Graph(h.number_of_nodes(), list(h.edges()))
+        for obj in _certificate_outputs(g):
+            outcomes.add(obj.get("super_dominating"))
+            _same_as_json(obj)
+    assert outcomes == {None, True, False}
+
+
+def test_dump_of_k1_has_empty_witnesses():
+    (cert, _, *checks) = _certificate_outputs(Graph(1, []))
+    assert cli._dump(cert) == '{\n  "set": [\n    0\n  ],\n  "value": 1,\n  "witnesses": {}\n}'
+    _same_as_json({"value": 0, "set": [], "witnesses": {}})
+    for obj in checks:
+        _same_as_json(obj)
+
+
+@pytest.mark.parametrize("n", [12, 16, 20, 24])
+def test_dump_matches_json_on_gnp(n):
+    # witness keys from 10 up sort as strings, "10" before "2"
+    keys = set()
+    for p in (Fraction(1, 4), Fraction(1, 2)):
+        for obj in _certificate_outputs(families.gnp_random_graph(n, p, n), checks_too=n <= 16):
+            keys.update(obj.get("witnesses", ()))
+            _same_as_json(obj)
+    assert {len(key) for key in keys} == {1, 2}
+
+
+def test_sidecars_are_written_as_json_writes_them(tmp_path, capsys):
+    p3 = tmp_path / "p3.el"
+    p3.write_text("3 2\n0 1\n1 2\n")
+    runs = [["--seed", "3", "gen", kind, *params] for kind, params in (
+        ("path", ["12"]), ("cycle", ["5"]), ("complete", ["4"]), ("complete_bipartite", ["2", "3"]),
+        ("star", ["11"]), ("friendship", ["2"]), ("gnp_random", ["6", "1/2"]))]
+    runs += [["op", "odot", str(p3), "1"], ["op", "contract", str(p3), "1"], ["op", "union", str(p3), str(p3)],
+             ["op", "chain", f"{p3}:1:1", f"{p3}:0:2"], ["op", "bouquet", *[f"{p3}:1"] * 12]]
+    for argv in runs:
+        assert cli.main(argv) == 0
+        sidecar = capsys.readouterr().err
+        assert sidecar == json.dumps(json.loads(sidecar), sort_keys=True, indent=2) + "\n"
+
+
+JSON_VALUES = st.recursive(
+    st.booleans() | st.integers() | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(JSON_VALUES)
+def test_dump_matches_json_on_any_value(obj):
+    _same_as_json(obj)
+
+
+@given(st.text(st.characters(min_codepoint=0, max_codepoint=0x10FFFF, exclude_categories=("Cs",))))
+def test_quote_escapes_as_json_does(text):
+    assert cli._quote(text) == json.dumps(text)
+
+
+@pytest.mark.parametrize("value", [(1, 2), 1.5, None])
+def test_dump_refuses_what_the_commands_never_print(value):
+    with pytest.raises(TypeError):
+        cli._dump(value)
