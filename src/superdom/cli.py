@@ -11,16 +11,18 @@ which also renders the usage lines and -h.  It reads what argparse read
 long options, options among or after the operands, negative numbers as
 values) and refuses what argparse refused, with the same messages, but
 for an unknown ``gen`` family, which ``gen`` itself refuses.  JSON
-is written by ``_dump``, byte for byte as ``json.dumps(obj,
-sort_keys=True, indent=2)`` writes it.  Neither ``argparse`` nor ``json``
-is imported for a solve; ``verify`` imports ``json`` to read its config.
+is written by ``jsontext.dumps``, the writer of the ``verify`` report
+too, byte for byte as ``json.dumps(obj, sort_keys=True, indent=2)``
+writes it.  Neither ``argparse`` nor ``json`` is imported for a solve;
+``verify`` imports ``json`` to read its config.
 
-Only ``graph`` and ``solver`` are imported at the top: ``gamma``,
-``gamma-sp`` and ``check`` run nothing else.  The other layers are
-imported where they are used: ``ops`` by ``op``, ``theorems`` by
-``verify``, and ``families`` by ``gen``, which leaves an unknown family
-name to ``families.build_family``, and by ``gen -h`` for the names.  A
-solve thus never loads the generators, the compositions or the harness.
+Only ``graph``, ``solver`` and the writer are imported at the top:
+``gamma``, ``gamma-sp`` and ``check`` run nothing else.  The other
+layers are imported where they are used: ``ops`` by ``op``,
+``theorems`` by ``verify``, and ``families`` by ``gen``, which leaves an
+unknown family name to ``families.build_family``, and by ``gen -h`` for
+the names.  A solve thus never loads the generators, the compositions or
+the harness.
 ``gamma`` and ``gamma-sp`` hand their guard to the edge-list reader, so a
 file above it is refused before its graph is built.
 """
@@ -30,59 +32,19 @@ from __future__ import annotations
 import os
 import sys
 from types import SimpleNamespace
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from . import solver
 from .graph import EdgeListError, Graph, SizeGuardError, read_edge_list, write_edge_list
+from .jsontext import dumps
+
+if TYPE_CHECKING:
+    from . import ops
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
-
-
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-
-
-def _quote(text: str) -> str:
-    """A JSON string literal escaped as ``json`` escapes it, non-ASCII as ``\\u`` escapes."""
-    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
-        return f'"{text}"'
-    out = []
-    for ch in text:
-        code = ord(ch)
-        if ch in _ESCAPES:
-            out.append(_ESCAPES[ch])
-        elif 0x20 <= code < 0x7F:
-            out.append(ch)
-        elif code < 0x10000:
-            out.append(f"\\u{code:04x}")
-        else:
-            code -= 0x10000
-            out.append(f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}")
-    return '"' + "".join(out) + '"'
-
-
-def _dump(obj, indent: str = "") -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)`` for the str-keyed dicts,
-    lists, bools, ints and strs the commands print, without ``json``."""
-    if isinstance(obj, str):
-        return _quote(obj)
-    if obj is True or obj is False:
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f"{inner}{_quote(key)}: {_dump(value, inner)}" for key, value in sorted(obj.items())]
-        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-    if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        return "[\n" + ",\n".join(inner + _dump(value, inner) for value in obj) + "\n" + indent + "]"
-    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
 
 
 def _load_graph(path: str, guard: Optional[int] = None, what: str = "") -> Graph:
@@ -96,10 +58,10 @@ def _emit_graph(g: Graph, out: Optional[str], sidecar: dict) -> None:
     if out:
         with open(out, "w", encoding="ascii") as fh:
             fh.write(text)
-        print(_dump(sidecar))
+        print(dumps(sidecar))
     else:
         sys.stdout.write(text)
-        print(_dump(sidecar), file=sys.stderr)
+        print(dumps(sidecar), file=sys.stderr)
 
 
 def _witness_json(witnesses: dict) -> dict:
@@ -150,7 +112,7 @@ def cmd_gamma_sp(args) -> int:
         print("set =", " ".join(str(v) for v in cert.vertices))
         print(_witness_line(cert.witnesses))
     else:
-        print(_dump(_cert_json(cert)))
+        print(dumps(_cert_json(cert)))
     return EXIT_OK
 
 
@@ -161,7 +123,7 @@ def cmd_gamma(args) -> int:
         print(f"gamma = {cert.value}")
         print("set =", " ".join(str(v) for v in cert.vertices))
     else:
-        print(_dump({"value": cert.value, "set": list(cert.vertices)}))
+        print(dumps({"value": cert.value, "set": list(cert.vertices)}))
     return EXIT_OK
 
 
@@ -178,13 +140,13 @@ def cmd_check(args) -> int:
         if args.format == "text":
             print(f"not super dominating: {violation}")
         else:
-            print(_dump({"super_dominating": False, "violation": violation}))
+            print(dumps({"super_dominating": False, "violation": violation}))
         return EXIT_VIOLATION
     if args.format == "text":
         print("super dominating")
         print(_witness_line(witnesses))
     else:
-        print(_dump({"super_dominating": True, "witnesses": _witness_json(witnesses)}))
+        print(dumps({"super_dominating": True, "witnesses": _witness_json(witnesses)}))
     return EXIT_OK
 
 
@@ -282,7 +244,7 @@ def cmd_verify(args) -> int:
                 print(f"{tid}: {slot['checked']} checked, {slot['failed']} failed")
             print(f"total: {summary['total']} checked, {summary['failed']} failed")
         else:
-            print(_dump({"summary": summary}))
+            print(dumps({"summary": summary}))
     return EXIT_OK if summary["failed"] == 0 else EXIT_VIOLATION
 
 

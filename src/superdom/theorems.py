@@ -58,6 +58,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequenc
 
 from . import families, ops, solver
 from .graph import DEFAULT_ISO_GUARD, Graph, is_isomorphic
+from .jsontext import dumps, quote
 
 ALL_THEOREM_IDS = (
     "T1",
@@ -594,7 +595,8 @@ def run_harness(cfg: HarnessConfig = DEFAULT_CONFIG) -> Tuple[List[TheoremReport
     def plan(tid: str, order: int, check: Callable[..., TheoremReport], *args) -> None:
         plans.append(((tid,), order, lambda: [check(*args)]))
 
-    pool = family_pool(cfg.family_max_order) + random_pool(cfg.random)
+    pool_ids = {"T1", "P_union"}.union(*_VERTEX_IDS)
+    pool = family_pool(cfg.family_max_order) + random_pool(cfg.random) if want & pool_ids else []
 
     if "T1" in want:
         for label, g in pool:
@@ -683,34 +685,6 @@ def run_harness(cfg: HarnessConfig = DEFAULT_CONFIG) -> Tuple[List[TheoremReport
     return reports, summary
 
 
-def _emit(value, pad: str = "\n") -> str:
-    """``value`` as ``json.dumps(sort_keys=True, indent=2)`` writes it when
-    nested at ``pad``, for the types a report holds: dicts with str keys,
-    lists, str, bool and int.  Anything else is a ``TypeError``.  Each
-    level joins its own items, so no list of every token is ever held."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    inner = pad + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = []
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"report key {key!r} is not a str")
-            items.append(encode_basestring_ascii(key) + ": " + _emit(value[key], inner))
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        return "[" + inner + ("," + inner).join([_emit(item, inner) for item in value]) + pad + "]"
-    raise TypeError(f"report value {value!r} of type {type(value).__name__} is not serialisable")
-
-
 # A report row at its depth in the document: fields at six spaces, the
 # items of its lists and of its witness at eight.
 _FIELD = "\n      "
@@ -723,8 +697,8 @@ _DOCUMENT = '{\n  "config": %s,\n  "reports": %s,\n  "summary": %s\n}\n'
 
 
 def _row_list(items) -> str:
-    """A row's lhs or rhs as ``to_dict`` and :func:`_emit` write it."""
-    parts = [str(x) if type(x) is int else _emit(_num(x), _ITEM) for x in items]
+    """A row's lhs or rhs as ``to_dict`` and :func:`dumps` write it."""
+    parts = [str(x) if type(x) is int else dumps(_num(x), _ITEM) for x in items]
     return "[" + _ITEM + ("," + _ITEM).join(parts) + _FIELD + "]" if parts else "[]"
 
 
@@ -736,22 +710,22 @@ def _int_witness_template(keys: Tuple) -> Optional[Tuple[str, Callable]]:
     if not all(type(k) is str for k in keys):
         return None
     order = sorted(keys)
-    items = [_ITEM + encode_basestring_ascii(k).replace("%", "%%") + ": %d" for k in order]
+    items = [_ITEM + quote(k).replace("%", "%%") + ": %d" for k in order]
     return "{" + ",".join(items) + _FIELD + "}", itemgetter(*order)
 
 
 @lru_cache(maxsize=256)
 def _relations_text(relations: Tuple) -> str:
-    """A row's relations as :func:`_emit` writes them; the harness writes
+    """A row's relations as :func:`dumps` writes them; the harness writes
     only a handful of distinct tuples."""
-    return _emit(list(relations), _FIELD)
+    return dumps(list(relations), _FIELD)
 
 
 def _row(r: TheoremReport) -> str:
-    """``r.to_dict()`` as :func:`_emit` writes it in the report list.
+    """``r.to_dict()`` as :func:`dumps` writes it in the report list.
 
     ``holds``, ``instance`` and ``theorem_id`` are written directly when
-    they are a bool or a str, and through :func:`_emit` otherwise."""
+    they are a bool or a str, and through :func:`dumps` otherwise."""
     tid, instance, lhs, relations, rhs, holds, witness = r
     text = None
     if type(witness) is dict and witness and all(type(x) is int for x in witness.values()):
@@ -759,13 +733,14 @@ def _row(r: TheoremReport) -> str:
         if made:
             text = made[0] % made[1](witness)
     return _ROW % (
-        "true" if holds is True else "false" if holds is False else _emit(holds, _FIELD),
-        encode_basestring_ascii(instance) if type(instance) is str else _emit(instance, _FIELD),
+        "true" if holds is True else "false" if holds is False else dumps(holds, _FIELD),
+        # the C escaper, not quote: quote added 1-2 ms to the ~29 ms default report (8,262 strings)
+        encode_basestring_ascii(instance) if type(instance) is str else dumps(instance, _FIELD),
         _row_list(lhs),
-        _relations_text(relations) if type(relations) is tuple else _emit(list(relations), _FIELD),
+        _relations_text(relations) if type(relations) is tuple else dumps(list(relations), _FIELD),
         _row_list(rhs),
-        encode_basestring_ascii(tid) if type(tid) is str else _emit(tid, _FIELD),
-        text or _emit(witness, _FIELD),
+        encode_basestring_ascii(tid) if type(tid) is str else dumps(tid, _FIELD),
+        text or dumps(witness, _FIELD),
     )
 
 
@@ -780,12 +755,13 @@ def report_document(reports: List[TheoremReport], summary: Dict, cfg: HarnessCon
     relations through text cached per tuple, and a bool ``holds`` or str
     ``instance`` and ``theorem_id`` directly.  Every other value (a
     config, a summary, a witness holding anything but ints) is written by
-    :func:`_emit`, and no ``to_dict`` dict is built.  The standard library indents only through its
-    pure-Python encoder, which takes about half as long again on the
+    :func:`dumps`, the package's one JSON writer (``jsontext``), and no
+    ``to_dict`` dict is built.  The standard library indents only through
+    its pure-Python encoder, which takes about half as long again on the
     default report.  Anything a report never holds (a float, a
     ``Fraction`` outside lhs and rhs, ``None``, a tuple, a non-str key)
     is a ``TypeError``, so no other bytes are silently written.
     """
     rows = [_row(r) for r in reports]
     listed = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
-    return _DOCUMENT % (_emit(config_to_dict(cfg), "\n  "), listed, _emit(summary, "\n  "))
+    return _DOCUMENT % (dumps(config_to_dict(cfg), "\n  "), listed, dumps(summary, "\n  "))

@@ -15,6 +15,7 @@ from referencing.jsonschema import DRAFT7
 from superdom import read_edge_list, friendship_graph, is_isomorphic, star_graph
 from superdom.cli import main
 from superdom.families import FAMILY_KINDS
+from superdom.jsontext import dumps
 from superdom.theorems import _JSON_KEYS, _MINIMUMS, ALL_THEOREM_IDS, HarnessConfig, RandomGrid
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -551,7 +552,7 @@ def test_cli_imports_only_stdlib():
 
 
 HASHING_AND_RATIONALS = {"hashlib", "_hashlib", "fractions", "decimal"}
-HEAVY_STDLIB = {"dataclasses", "inspect"} | HASHING_AND_RATIONALS
+HEAVY_STDLIB = {"dataclasses", "inspect", "json"} | HASHING_AND_RATIONALS
 
 
 def _modules_loaded(code):
@@ -621,6 +622,22 @@ class TestImportBudget:
         assert exit_code == "0" and "superdom.solver" in loaded
         forbidden = {"argparse", "json", "gettext", "locale", "superdom.families", "superdom.ops", "superdom.theorems"}
         assert not forbidden & set(loaded)
+
+    def test_writer_loads_json_only_to_escape(self):
+        write = "from superdom.jsontext import dumps\ndumps({!r})"
+        assert "json" not in _modules_loaded(write.format({"a": ["b", 1, True]}))
+        assert "json" in _modules_loaded(write.format("\u00e9\""))
+        assert dumps("\u00e9\"") == json.dumps("\u00e9\"")
+
+    def test_annotations_resolve_under_type_checking(self):
+        # the names cli imports only for annotations resolve once the
+        # TYPE_CHECKING block runs
+        code = (
+            "import typing\ntyping.TYPE_CHECKING = True\nfrom superdom import cli, ops\n"
+            "assert typing.get_type_hints(cli._compose)['return'] is ops.CompositionResult"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_bare_package_import_loads_no_layer(self):
         assert _modules_loaded("import superdom") == set()

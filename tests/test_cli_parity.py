@@ -1,8 +1,8 @@
 """The table-driven command line against what it replaced.
 
 ``cli.parse_args`` is checked against the argparse parser it replaced
-(``reference_parser``), and ``cli._dump`` against
-``json.dumps(..., sort_keys=True, indent=2)``.
+(``reference_parser``), and the JSON the commands print, written by
+``jsontext.dumps``, against ``json.dumps(..., sort_keys=True, indent=2)``.
 """
 
 import ast
@@ -17,6 +17,7 @@ from hypothesis import given
 import reference_parser
 from superdom import cli, families, solver
 from superdom.graph import Graph
+from superdom.jsontext import dumps
 
 ACCEPTED = [
     ["gamma", "g.el"],
@@ -188,7 +189,7 @@ def test_no_module_imports_argparse():
 
 
 def _same_as_json(obj):
-    assert cli._dump(obj) == json.dumps(obj, sort_keys=True, indent=2)
+    assert dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
 
 
 def _certificate_outputs(g, checks_too=True):
@@ -220,7 +221,7 @@ def test_dump_matches_json_on_the_atlas():
 
 def test_dump_of_k1_has_empty_witnesses():
     (cert, _, *checks) = _certificate_outputs(Graph(1, []))
-    assert cli._dump(cert) == '{\n  "set": [\n    0\n  ],\n  "value": 1,\n  "witnesses": {}\n}'
+    assert dumps(cert) == '{\n  "set": [\n    0\n  ],\n  "value": 1,\n  "witnesses": {}\n}'
     _same_as_json({"value": 0, "set": [], "witnesses": {}})
     for obj in checks:
         _same_as_json(obj)
@@ -263,12 +264,7 @@ def test_dump_matches_json_on_any_value(obj):
     _same_as_json(obj)
 
 
-@given(st.text(st.characters(min_codepoint=0, max_codepoint=0x10FFFF, exclude_categories=("Cs",))))
-def test_quote_escapes_as_json_does(text):
-    assert cli._quote(text) == json.dumps(text)
-
-
 @pytest.mark.parametrize("value", [(1, 2), 1.5, None])
 def test_dump_refuses_what_the_commands_never_print(value):
     with pytest.raises(TypeError):
-        cli._dump(value)
+        dumps(value)

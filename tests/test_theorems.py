@@ -18,7 +18,7 @@ from superdom import (
     path_graph,
     star_graph,
 )
-from superdom import ops, theorems
+from superdom import families, ops, theorems
 from superdom.theorems import (
     ALL_THEOREM_IDS,
     DEFAULT_CONFIG,
@@ -417,6 +417,16 @@ class TestHarness:
             assert r.holds
             assert r.lhs[0] == sum(r.witness["part_values"])
 
+    def test_sharpness_checks_draw_no_pool(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the random pool was drawn")
+
+        monkeypatch.setattr(families, "gnp_random_graph", refuse)
+        cfg = HarnessConfig(theorems=tuple(t for t in ALL_THEOREM_IDS if t.startswith("R_")), random=RandomGrid(count=3000))
+        reports, summary = run_harness(cfg)
+        assert reports and summary["failed"] == 0
+        assert reports == run_harness(cfg._replace(random=RandomGrid(count=0)))[0]
+
 
 VERTEX_IDS = ("P_odot_pendant", "T_odot", "T_Gv", "C_combined")
 # the vertex ids plus one closed form with instances at order <= 6
@@ -495,30 +505,6 @@ _report_values = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
     max_leaves=20,
 )
-
-
-class TestReportEmitter:
-    """The report emitter writes json.dumps(sort_keys=True, indent=2) bytes."""
-
-    @given(_report_values)
-    def test_equals_the_stdlib_encoder(self, value):
-        assert theorems._emit(value) == json.dumps(value, sort_keys=True, indent=2)
-
-    @pytest.mark.parametrize("value", [
-        {}, [], [{}], {"a": []}, {"b": {"c": [[], {}]}},
-        True, False, [True, 1, False, 0], -1, 2 ** 100, -(2 ** 100),
-        "", "\u00e9\u4e2d\U0001f600", "\x00\x1f\n\t\"\\",
-        {"\u00e9": 1, "e": 2, "\x01": 3, "": 4},
-    ], ids=repr)
-    def test_edge_values(self, value):
-        assert theorems._emit(value) == json.dumps(value, sort_keys=True, indent=2)
-
-    @pytest.mark.parametrize("value", [
-        1.5, Fraction(1, 2), {1: 2}, {"a": [0.0]}, None, (1, 2), {"a": 1, 2: 3},
-    ], ids=repr)
-    def test_refuses_types_a_report_never_holds(self, value):
-        with pytest.raises(TypeError):
-            theorems._emit(value)
 
 
 _numbers = st.integers(-50, 50) | st.fractions(max_denominator=6) | st.integers(min_value=2 ** 70)
