@@ -5,24 +5,28 @@ mechanism.  Exit codes: 0 success, 1 check/bound violation, 2 usage or
 parse error, 3 size guard exceeded.  JSON output is emitted with sorted
 keys so identical invocations are byte-identical.
 
-The command line is read from one table, ``OPTIONS`` and ``COMMANDS``,
-which also renders the usage lines and -h.  It reads what argparse read
-(global options before the command, ``--opt=value``, unique prefixes of
-long options, options among or after the operands, negative numbers as
-values) and refuses what argparse refused, with the same messages, but
-for an unknown ``gen`` family, which ``gen`` itself refuses.  JSON
-is written by ``jsontext.dumps``, the writer of the ``verify`` report
-too, byte for byte as ``json.dumps(obj, sort_keys=True, indent=2)``
-writes it.  Neither ``argparse`` nor ``json`` is imported for a solve;
-``verify`` imports ``json`` to read its config.
+The command line is stated once, in ``OPTIONS`` and ``COMMANDS``, and
+read in one of two ways.  A plain spelling, the one every solve and the
+benchmark use, is read straight from the tables: exact global flags,
+each followed by a value not starting with ``-``, then a command whose
+operands each take one value (``gamma``, ``gamma-sp``, ``check``,
+``verify``) with its exact flags and values.  Any other argv (``gen``,
+``op``, -h, prefixes, ``--opt=value``, ``--``, and every usage error) goes
+to an argparse parser built from the same tables, whose usage and -h are
+never wrapped.  ``gen``'s family names are listed there but not enforced,
+so ``families.build_family`` refuses an unknown one.  Thus ``argparse``
+(with ``gettext`` and ``locale``) is never imported for a plainly spelled
+solve or ``verify``.  JSON is written by ``jsontext.dumps``, the writer
+of the ``verify`` report too, byte for byte as
+``json.dumps(obj, sort_keys=True, indent=2)`` writes it.  ``json`` is
+not imported for a solve; ``verify`` imports it to read its config.
 
 Only ``graph``, ``solver`` and the writer are imported at the top:
 ``gamma``, ``gamma-sp`` and ``check`` run nothing else.  The other
 layers are imported where they are used: ``ops`` by ``op``,
-``theorems`` by ``verify``, and ``families`` by ``gen``, which leaves an
-unknown family name to ``families.build_family``, and by ``gen -h`` for
-the names.  A solve thus never loads the generators, the compositions or
-the harness.
+``theorems`` by ``verify``, and ``families`` by ``gen`` and by the
+argparse parser, which lists the family names.  A plainly spelled solve
+thus never loads the generators, the compositions or the harness.
 ``gamma`` and ``gamma-sp`` hand their guard to the edge-list reader, so a
 file above it is refused before its graph is built.
 """
@@ -254,14 +258,21 @@ def _family_kinds():
     return FAMILY_KINDS
 
 
-# The command line, stated once: the parser, the usage lines and -h all
+class _Listed(tuple):
+    """Choices argparse lists in usage and -h but does not enforce: the
+    command refuses a wrong value itself."""
+
+    def __contains__(self, value) -> bool:
+        return True
+
+
+# The command line, stated once: both readers, the usage lines and -h all
 # read these tables.  An option maps its flag to (dest, metavar, type,
 # choices, default, required, help); an operand is (name, arity, choices,
-# help), with arity 1, "+" (one or more) or "..." (the command and all that
-# follows it).  ``choices`` is a tuple the parser enforces, or a function
-# naming what the command checks itself, called only to print usage.
-# Command ``c`` runs ``cmd_c`` (dashes as underscores), looked up when it
-# runs.
+# help), with arity 1 or "+" (one or more).  ``choices`` is a tuple that is
+# enforced, or a function naming what the command checks itself, called
+# only when the argparse parser is built.  Command ``c`` runs ``cmd_c``
+# (dashes as underscores), looked up when it runs.
 OPTIONS = {
     "--guard-n": ("guard_n", "N", int, None, None, False,
                   f"size guard for the exact solvers (default {solver.DEFAULT_GUARD})"),
@@ -287,194 +298,95 @@ COMMANDS = {
                {"--config": ("config", None, None, None, None, False, "config JSON path, or 'default'"),
                 "--out": ("out", None, None, None, None, False, "report output path (default stdout)")}),
 }
-_PROG = "superdom"
-_DESCRIPTION = "Exact super domination solver and bound verification toolkit."
-_COMMAND = ("command", "...", tuple(COMMANDS), None)
 
 
-def _braces(choices) -> str:
-    return "{" + ",".join(choices() if callable(choices) else choices) + "}"
-
-
-def _option_metavar(dest, metavar, choices) -> str:
-    return metavar or (_braces(choices) if choices else dest.upper())
-
-
-def _operand_metavar(name, arity, choices) -> str:
-    mv = _braces(choices) if choices else name
-    return {1: mv, "+": f"{mv} [{mv} ...]", "...": f"{mv} ..."}[arity]
-
-
-def _usage(prog, operands, options) -> str:
-    parts = [prog, "[-h]"]
-    for flag, (dest, metavar, _, choices, _, required, _) in options.items():
-        part = f"{flag} {_option_metavar(dest, metavar, choices)}"
-        parts.append(part if required else f"[{part}]")
-    parts += [_operand_metavar(name, arity, choices) for name, arity, choices, _ in operands]
-    return "usage: " + " ".join(parts)
-
-
-def _help(prog, operands, options, description=None) -> str:
-    """The -h text, laid out as argparse lays it out on a wide terminal."""
-    listed = []
-    for name, arity, choices, text in operands:
-        listed.append((2, _operand_metavar(name, 1, choices), text))
-        if arity == "...":
-            listed += [(4, command, entry[0]) for command, entry in COMMANDS.items()]
-    flags = [(2, "-h, --help", "show this help message and exit")] + [
-        (2, f"{flag} {_option_metavar(dest, metavar, choices)}", text)
-        for flag, (dest, metavar, _, choices, _, _, text) in options.items()
-    ]
-    column = min(max(indent + len(name) for indent, name, _ in listed + flags) + 2, 24)
-
-    def line(indent, name, text):
-        if text is None:
-            return " " * indent + name
-        if len(name) <= column - indent - 2:
-            return " " * indent + name.ljust(column - indent - 2) + "  " + text
-        return " " * indent + name + "\n" + " " * column + text
-
-    sections = [_usage(prog, operands, options)] + ([description] if description else [])
-    if listed:
-        sections.append("positional arguments:\n" + "\n".join(line(*row) for row in listed))
-    sections.append("options:\n" + "\n".join(line(*row) for row in flags))
-    return "\n\n".join(sections) + "\n"
-
-
-def _usage_error(prog, operands, options, message: str) -> None:
-    """Exit 2 with argparse's two stderr lines."""
-    sys.stderr.write(f"{_usage(prog, operands, options)}\n{prog}: error: {message}\n")
-    raise SystemExit(EXIT_USAGE)
-
-
-def _check_choice(name: str, value, choices, fail) -> None:
-    if type(choices) is tuple and value not in choices:
-        fail(f"argument {name}: invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})")
-
-
-def _is_negative_number(token: str) -> bool:
-    whole, dot, frac = token[1:].partition(".")
-    return (whole == "" or whole.isdecimal()) and (frac.isdecimal() if dot else whole != "")
-
-
-def _flag(token: str, flags, fail):
-    """How argparse reads ``token`` against ``flags``: None for an operand,
-    else the pair (flag, attached value or None), flag None for an unknown
-    option.  A long flag may be cut to a unique prefix; ``--flag=value``
-    and ``-hvalue`` attach a value."""
-    if token[:1] != "-" or token in ("-", "--"):
-        return None
-    if token in flags:
-        return token, None
-    if token[1] == "-":
-        name, eq, value = token.partition("=")
-        found = [f for f in flags if f == name] or [f for f in flags if f.startswith(name)]
-        if len(found) > 1:
-            fail(f"ambiguous option: {token} could match {', '.join(found)}")
-        if found:
-            return found[0], value if eq else None
-    elif token[1] == "h":
-        value = token[2:]
-        return "-h", value[1:] if value[:1] == "=" else value
-    if _is_negative_number(token) or " " in token:
-        return None
-    return None, None
-
-
-def _read(prog, operands, options, argv, args, description=None):
-    """Fill ``args`` from ``argv`` as argparse reads one parser's arguments:
-    options anywhere, each run of operands between options filling as many
-    operands as it can, ``--`` ending the options.  Return the tokens
-    nothing took and the tokens after the command (None below it)."""
-    def fail(message):
-        _usage_error(prog, operands, options, message)
-
-    for dest, _, _, _, default, _, _ in options.values():
+def _plain(argv: List[str]) -> Optional[SimpleNamespace]:
+    """``argv`` read as argparse reads it, if it is spelled plainly: exact
+    flags, each followed by a value not starting with ``-``, the global ones
+    before a command whose operands each take one value.  None for any
+    other spelling, and for anything argparse would refuse."""
+    args = SimpleNamespace(command=None)
+    options, operands, seen, i = OPTIONS, None, set(), 0
+    for dest, _, _, _, default, _, _ in OPTIONS.values():
         setattr(args, dest, default)
-    for name, *_ in operands:
-        setattr(args, name, None)
-    todo, run, extras, seen = list(operands), [], [], set()
-    literal = False
-
-    def fill():
-        while run and todo:
-            name, arity, choices, _ = todo.pop(0)
-            values = run[:] if arity == "+" else run[:1]
-            del run[:len(values)]
-            for value in values:
-                _check_choice(name, value, choices, fail)
-            setattr(args, name, values if arity == "+" else values[0])
-        extras.extend(run)
-        run.clear()
-
-    flags = ("-h", "--help", *options)
-    i = 0
     while i < len(argv):
         token = argv[i]
-        i += 1
-        found = None if literal else _flag(token, flags, fail)
-        if found is None:
-            if todo and todo[0][1] == "...":
-                name, _, choices, _ = todo.pop(0)
-                _check_choice(name, token, choices, fail)
-                setattr(args, name, token)
-                return extras, argv[i:]
-            if token == "--" and not literal:
-                literal = True
-            else:
-                run.append(token)
-            continue
-        fill()
-        flag, value = found
-        if flag is None:
-            extras.append(token)
-        elif flag in ("-h", "--help"):
-            if value is not None:
-                fail(f"argument -h/--help: ignored explicit argument {value!r}")
-            sys.stdout.write(_help(prog, operands, options, description))
-            raise SystemExit(EXIT_OK)
-        else:
-            dest, _, convert, choices, _, _, _ = options[flag]
-            if value is None:
-                if i < len(argv) and argv[i] == "--" and not literal:
-                    literal = True
-                    i += 1
-                if i == len(argv) or (not literal and _flag(argv[i], flags, fail) is not None):
-                    fail(f"argument {flag}: expected one argument")
-                value = argv[i]
-                i += 1
-            if convert is not None:
-                try:
-                    value = convert(value)
-                except (TypeError, ValueError):
-                    fail(f"argument {flag}: invalid {convert.__name__} value: {value!r}")
-            _check_choice(flag, value, choices, fail)
+        if token[:1] == "-":
+            if token not in options or i + 1 == len(argv) or argv[i + 1][:1] == "-":
+                return None
+            dest, _, convert, choices, _, _, _ = options[token]
+            try:
+                value = argv[i + 1] if convert is None else convert(argv[i + 1])
+            except ValueError:
+                return None
+            if type(choices) is tuple and value not in choices:
+                return None
             setattr(args, dest, value)
-            seen.add(flag)
-    fill()
-    missing = [name for name, *_ in todo] + [
-        flag for flag, spec in options.items() if spec[5] and flag not in seen
-    ]
-    if missing:
-        fail(f"the following arguments are required: {', '.join(missing)}")
-    return extras, None
+            seen.add(token)
+            i += 2
+            continue
+        if operands is None:
+            if token not in COMMANDS:
+                return None
+            _, operands, options = COMMANDS[token]
+            if any(arity != 1 for _, arity, _, _ in operands):
+                return None
+            args.command, operands = token, list(operands)
+            for dest, _, _, _, default, _, _ in options.values():
+                setattr(args, dest, default)
+        elif not operands:
+            return None
+        else:
+            name, _, choices, _ = operands.pop(0)
+            if type(choices) is tuple and token not in choices:
+                return None
+            setattr(args, name, token)
+        i += 1
+    if operands is None or operands or any(spec[5] and flag not in seen for flag, spec in options.items()):
+        return None
+    if args.guard_n is not None and args.guard_n < 1:
+        return None
+    return args
+
+
+def _parser():
+    """The argparse parser the tables describe, for every spelling
+    ``_plain`` leaves: prefixes, ``=``, ``--``, -h and every usage error."""
+    import argparse
+    from functools import partial
+
+    unwrapped = partial(argparse.HelpFormatter, width=1 << 16)  # usage and -h never wrap
+
+    def add(parser, operands, options):
+        for name, arity, choices, text in operands:
+            choices = _Listed(choices()) if callable(choices) else choices
+            parser.add_argument(name, nargs=None if arity == 1 else arity, choices=choices, help=text)
+        for flag, (dest, metavar, convert, choices, default, required, text) in options.items():
+            parser.add_argument(flag, dest=dest, metavar=metavar, type=convert, choices=choices,
+                                default=default, required=required, help=text)
+        return parser
+
+    parser = add(argparse.ArgumentParser(prog="superdom", formatter_class=unwrapped,
+                                         description="Exact super domination solver and bound verification toolkit."),
+                 [], OPTIONS)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (text, operands, options) in COMMANDS.items():
+        add(commands.add_parser(command, help=text, formatter_class=unwrapped), operands, options)
+    return parser
 
 
 def parse_args(argv: List[str]) -> SimpleNamespace:
     """The command line as ``cmd_*`` handlers read it, ``func`` being the handler.
 
-    Usage errors exit 2 and -h exits 0, as argparse did.
+    Usage errors exit 2 and -h exits 0, as argparse has them.
     """
-    args = SimpleNamespace()
-    extras, rest = _read(_PROG, [_COMMAND], OPTIONS, argv, args, _DESCRIPTION)
-    _, operands, options = COMMANDS[args.command]
-    more, _ = _read(f"{_PROG} {args.command}", operands, options, rest, args)
+    args = _plain(argv)
+    if args is None:
+        parser = _parser()
+        args = parser.parse_args(argv, SimpleNamespace())
+        if args.guard_n is not None and args.guard_n < 1:
+            parser.error(f"argument --guard-n: must be at least 1, got {args.guard_n}")
     args.func = globals()["cmd_" + args.command.replace("-", "_")]
-    extras += more
-    if extras:
-        _usage_error(_PROG, [_COMMAND], OPTIONS, f"unrecognized arguments: {' '.join(extras)}")
-    if args.guard_n is not None and args.guard_n < 1:
-        _usage_error(_PROG, [_COMMAND], OPTIONS, f"argument --guard-n: must be at least 1, got {args.guard_n}")
     return args
 
 

@@ -156,13 +156,11 @@ class Graph:
         """All edges as (u, v) pairs with u < v, sorted."""
         out = []
         for u in range(self.n):
-            rest = self.adj[u] >> (u + 1)
-            v = u + 1
+            rest = self.adj[u] >> (u + 1) << (u + 1)
             while rest:
-                if rest & 1:
-                    out.append((u, v))
-                rest >>= 1
-                v += 1
+                low = rest & -rest
+                out.append((u, low.bit_length() - 1))
+                rest ^= low
         return out
 
     def components(self) -> List[Tuple[int, ...]]:

@@ -47,7 +47,9 @@ exceeds the number of picks left times the largest closed neighbourhood.
 Either way no completion dominates, so the cuts drop only subtrees
 without a solution and the search still meets the k-subsets in
 lexicographic order: the first dominating set found is the
-lexicographically smallest one.
+lexicographically smallest one.  A prefix with no picks left is a
+solution only if it dominates, which is tested on its own, so no cut
+is needed for the answer to be right.
 
 Tie-breaking is deterministic everywhere: among maximum-size valid
 complements the lexicographically smallest wins (vertices compared as
@@ -330,7 +332,7 @@ def _min_dominating(adj: Tuple[int, ...], comp: Tuple[int, ...]) -> int:
         if missing & ~reach[start] or missing.bit_count() > left * width:
             return None
         if not left:
-            return 0
+            return None if missing else 0
         for i in range(start, order - left + 1):
             found = extend(i + 1, left - 1, cover | closed[i])
             if found is not None:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import resource
 import shutil
 import subprocess
@@ -523,6 +524,15 @@ class TestVerify:
 DEFAULT_REPORT_SHA256 = "bdaa0f731250ef624945a8fb823fa3b8e445221d6811e78e9e5f5c1a6ea0846e"
 
 
+def test_report_hash_is_pinned_once():
+    # CI and the benchmark's recorded digests pin the same default report
+    # as the tier-1 tests; a re-pin must change all three
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    with open(ROOT / "bench" / "digests.json") as fh:
+        _, report = json.load(fh)["verify-default"]["verify(seed=42)"]
+    assert set(re.findall(r"\b[0-9a-f]{64}\b", workflow)) == {report} == {DEFAULT_REPORT_SHA256}
+
+
 def test_default_report_on_the_oldest_supported_python(tmp_path):
     # requires-python is >=3.10: the report's format templates must write
     # the same bytes there
@@ -607,11 +617,21 @@ class TestImportBudget:
         assert "superdom.theorems" in loaded
         assert not loaded & {"dataclasses", "inspect"}
 
-    @pytest.mark.parametrize("argv", [["gamma"], ["gamma-sp"], ["check", "--set", "0,2,4"]], ids=lambda a: a[0])
-    def test_solve_command_loads_no_parser_json_or_other_layer(self, p5, argv):
+    @pytest.mark.parametrize("argv", [
+        ["gamma", "{file}"],
+        ["gamma-sp", "{file}"],
+        ["check", "{file}", "--set", "0,2,4"],
+        ["verify", "--config", "{config}", "--out", "{out}"],
+    ], ids=lambda a: a[0])
+    def test_solve_command_loads_no_parser_json_or_other_layer(self, p5, tmp_path, argv):
         # one fresh process per command; the modules counted are those
-        # loaded from just before ``import superdom.cli`` to after ``main``
-        argv = [argv[0], p5, *argv[1:]]
+        # loaded from just before ``import superdom.cli`` to after ``main``.
+        # These are the spellings the benchmark runs: none loads argparse,
+        # and a solve loads no json nor any other layer (verify reads its
+        # config with json and runs the harness)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"theorems": ["T2i"], "family_max_order": 4}))
+        argv = [a.format(file=p5, config=config, out=tmp_path / "r.json") for a in argv]
         code = (
             "import sys\nbefore = set(sys.modules)\nfrom superdom import cli\n"
             f"code = cli.main({argv!r})\nprint()\nprint(code, *sorted(set(sys.modules) - before))"
@@ -620,7 +640,9 @@ class TestImportBudget:
         assert proc.returncode == 0, proc.stderr
         exit_code, *loaded = proc.stdout.splitlines()[-1].split()
         assert exit_code == "0" and "superdom.solver" in loaded
-        forbidden = {"argparse", "json", "gettext", "locale", "superdom.families", "superdom.ops", "superdom.theorems"}
+        forbidden = {"argparse", "gettext", "locale"}
+        if argv[0] != "verify":
+            forbidden |= {"json", "superdom.families", "superdom.ops", "superdom.theorems"}
         assert not forbidden & set(loaded)
 
     def test_writer_loads_json_only_to_escape(self):

@@ -1,11 +1,13 @@
-"""The table-driven command line against what it replaced.
+"""The command line against the argparse parser it was first written with.
 
-``cli.parse_args`` is checked against the argparse parser it replaced
-(``reference_parser``), and the JSON the commands print, written by
+``cli.parse_args`` reads plain spellings itself and hands every other
+argv to an argparse parser built from ``cli.OPTIONS`` and ``cli.COMMANDS``.
+Both are checked against that first parser, kept unchanged in
+``reference_parser``, and the JSON the commands print, written by
 ``jsontext.dumps``, against ``json.dumps(..., sort_keys=True, indent=2)``.
 """
 
-import ast
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -114,11 +116,20 @@ def _run(parse, argv, capsys):
     return code, args, captured.out, captured.err
 
 
-@pytest.fixture
-def wide(monkeypatch):
-    # argparse wraps its usage and help to the terminal width; the
-    # table-driven parser never wraps
+# argparse wraps usage and help to the terminal width that COLUMNS sets;
+# the cli's parser never wraps, so its text at any width is the
+# reference's at a wide terminal
+COLUMNS = ("40", "1000")
+
+
+def _both(argv, monkeypatch, capsys):
+    """Pairs (reference outcome, cli outcome) of ``_run``, the reference at
+    a wide terminal and the cli at each of ``COLUMNS``."""
     monkeypatch.setenv("COLUMNS", "1000")
+    ref = _run(reference_parser.parse, argv, capsys)
+    for columns in COLUMNS:
+        monkeypatch.setenv("COLUMNS", columns)
+        yield ref, _run(cli.parse_args, argv, capsys)
 
 
 def test_corpus_covers_every_command():
@@ -128,30 +139,65 @@ def test_corpus_covers_every_command():
 
 
 @pytest.mark.parametrize("argv", ACCEPTED, ids=" ".join)
-def test_accepted_argv_give_the_same_namespace(argv, wide, capsys):
-    ref = _run(reference_parser.parse, argv, capsys)
-    new = _run(cli.parse_args, argv, capsys)
-    assert ref[0] is None and new[0] is None, (ref[3], new[3])
-    want, got = vars(ref[1]), vars(new[1])
-    assert got.pop("func") is want.pop("func")
-    assert got == want
+def test_accepted_argv_give_the_same_namespace(argv, monkeypatch, capsys):
+    for ref, new in _both(argv, monkeypatch, capsys):
+        assert ref[0] is None and new[0] is None, (ref[3], new[3])
+        want, got = dict(vars(ref[1])), vars(new[1])
+        assert got.pop("func") is want.pop("func")
+        assert got == want
 
 
 @pytest.mark.parametrize("argv", REFUSED, ids=" ".join)
-def test_refused_argv_exit_2_with_the_same_message(argv, wide, capsys):
-    ref = _run(reference_parser.parse, argv, capsys)
-    new = _run(cli.parse_args, argv, capsys)
-    assert ref[0] == new[0] == 2
-    assert new[2] == "" and new[3].startswith("usage: superdom") and "error: " in new[3]
-    assert new[3] == ref[3]
+def test_refused_argv_exit_2_with_the_same_message(argv, monkeypatch, capsys):
+    for ref, new in _both(argv, monkeypatch, capsys):
+        assert ref[0] == new[0] == 2
+        assert new[2] == "" and new[3].startswith("usage: superdom") and "error: " in new[3]
+        assert new[3] == ref[3]
 
 
 @pytest.mark.parametrize("argv", HELP, ids=" ".join)
-def test_help_exits_0_with_the_same_text(argv, wide, capsys):
-    ref = _run(reference_parser.parse, argv, capsys)
-    new = _run(cli.parse_args, argv, capsys)
-    assert ref[0] == new[0] == 0
-    assert new[2] == ref[2] and new[3] == ref[3] == ""
+def test_help_exits_0_with_the_same_text(argv, monkeypatch, capsys):
+    for ref, new in _both(argv, monkeypatch, capsys):
+        assert ref[0] == new[0] == 0
+        assert new[2] == ref[2] and new[3] == ref[3] == ""
+
+
+def test_reference_wraps_at_the_narrow_width(monkeypatch, capsys):
+    # so the runs at 40 columns above show that the cli does not wrap
+    narrow, wide = [], []
+    for columns, texts in (("40", narrow), ("1000", wide)):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in (["-h"], ["--format", "xml", "gamma", "g.el"]):
+            _, _, out, err = _run(reference_parser.parse, argv, capsys)
+            texts.append(out + err)
+    assert all(a != b for a, b in zip(narrow, wide))
+
+
+GLOBAL_PAIRS = [["--guard-n", "5"], ["--guard-n", "0"], ["--format", "text"], ["--format", "xml"],
+                ["--seed", "3"], ["--seed", "x"], ["--guard-n", "-1"], ["--g", "5"]]
+COMMAND_TOKENS = ["g.el", "x", "", "-1", "0,2", "--set", "--config", "--out", "--format", "text", "-h", "--"]
+
+
+def test_plain_spellings_are_read_as_the_reference_reads_them(capsys):
+    # every argv of at most one global pair, a command and up to three more
+    # tokens: wherever the fast path answers, the reference accepts the
+    # argv with the same namespace; every other argv goes to argparse
+    answered = 0
+    for pair in ([], *GLOBAL_PAIRS):
+        for command in [*cli.COMMANDS, "nope"]:
+            for size in range(4):
+                for tokens in itertools.product(COMMAND_TOKENS, repeat=size):
+                    argv = [*pair, command, *tokens]
+                    args = cli._plain(argv)
+                    if args is None:
+                        continue
+                    code, want, _, err = _run(reference_parser.parse, argv, capsys)
+                    assert code is None, (argv, err)
+                    want = dict(vars(want))
+                    assert want.pop("func") is cli.parse_args(argv).func
+                    assert vars(args) == want, argv
+                    answered += 1
+    assert answered == 284
 
 
 def test_readme_shows_the_help_and_every_usage_line(capsys):
@@ -175,17 +221,6 @@ def test_unknown_family_is_refused_by_build_family(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: unknown family kind 'nope', expected one of {families.FAMILY_KINDS}\n"
-
-
-def test_no_module_imports_argparse():
-    imported = set()
-    for path in Path(cli.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                imported.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                imported.add(node.module)
-    assert "json" in imported and "argparse" not in imported
 
 
 def _same_as_json(obj):

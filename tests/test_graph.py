@@ -89,6 +89,15 @@ class TestQueries:
         assert not g.is_connected()
         assert path_graph(4).is_connected()
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_edges_match_a_pair_scan(self, seed):
+        rng = random.Random(seed)
+        for n in (1, 2, 9, 33, 64, 70):
+            for density in (0.0, 0.1, 0.5, 1.0):
+                g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density])
+                scan = [(u, v) for u in range(n) for v in range(u + 1, n) if g.adj[u] >> v & 1]
+                assert g.edges() == scan and len(scan) == g.m
+
 
 class TestVertexSet:
     def test_membership_and_order(self):

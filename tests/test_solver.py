@@ -46,6 +46,24 @@ def solve_under_optimisation(stand_in, call):
     return proc.stderr
 
 
+def nodes_entered(g, solve=gamma_sp):
+    """The number of search nodes ``solve(g)`` enters."""
+    entered = 0
+
+    def count(frame, event, arg):
+        nonlocal entered
+        if event == "call" and frame.f_code.co_name == "extend" and frame.f_globals is vars(solver):
+            entered += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        solve(g)
+    finally:
+        sys.setprofile(previous)
+    return entered
+
+
 class TestIsDominating:
     def test_path_middle(self):
         assert is_dominating(path_graph(3), [1])
@@ -130,6 +148,13 @@ class TestGamma:
             expected = -(-n // 3)
             assert gamma(path_graph(n), guard=64).value == expected, n
             assert gamma(cycle_graph(n), guard=64).value == expected, n
+
+    @pytest.mark.parametrize("seed,nodes", [(0, 12037), (5, 1351)])
+    def test_cuts_bound_the_search(self, seed, nodes):
+        # a weakened cut still returns every certificate unchanged, so only
+        # the number of search nodes entered can show it (without the
+        # counting cut these graphs take 22445 and 6156)
+        assert nodes_entered(gnp_random_graph(24, Fraction(1, 8), seed), gamma) <= nodes
 
     def test_invalid_search_result_raises(self, monkeypatch):
         monkeypatch.setattr(solver, "_min_dominating", lambda adj, comp: 0)
@@ -238,24 +263,6 @@ class TestGammaSp:
     def test_certificates_match_downward_search_above_oracle_range(self, n, p, seed):
         self.assert_matches_downward_search(gnp_random_graph(n, p, seed))
 
-    @staticmethod
-    def nodes_entered(g):
-        """The number of search nodes ``gamma_sp(g)`` enters."""
-        entered = 0
-
-        def count(frame, event, arg):
-            nonlocal entered
-            if event == "call" and frame.f_code.co_name == "extend" and frame.f_globals is vars(solver):
-                entered += 1
-
-        previous = sys.getprofile()
-        sys.setprofile(count)
-        try:
-            gamma_sp(g)
-        finally:
-            sys.setprofile(previous)
-        return entered
-
     @pytest.mark.parametrize("n,p,seed,nodes", [
         (16, Fraction(1, 4), 0, 258),
         (16, Fraction(1, 8), 1, 135),
@@ -264,20 +271,20 @@ class TestGammaSp:
         # a weakened cut still returns every certificate unchanged, so only
         # the number of search nodes entered can show it (without the two
         # zero-pool cuts these graphs take 354 and 245; both passes count)
-        assert self.nodes_entered(gnp_random_graph(n, p, seed)) <= nodes
+        assert nodes_entered(gnp_random_graph(n, p, seed)) <= nodes
 
     def test_sole_witness_cut_bounds_the_search(self):
         # without dropping the neighbours of a member's last witness from
         # the candidates this graph takes 1412 nodes: under this bound, the
         # one-pass search's count, but over the tighter pin below
-        assert self.nodes_entered(gnp_random_graph(24, Fraction(1, 4), 5)) <= 3260
+        assert nodes_entered(gnp_random_graph(24, Fraction(1, 4), 5)) <= 3260
 
     def test_two_passes_and_pair_cut_bound_the_search(self):
         # the one-pass search takes 3260 nodes here, 2726 with the pair cut
         # alone, 1722 with the two passes alone, 2746 when the value pass
         # keeps the graph's labels, and 1266 when the lex pass starts from
         # no floor
-        assert self.nodes_entered(gnp_random_graph(24, Fraction(1, 4), 5)) <= 1265
+        assert nodes_entered(gnp_random_graph(24, Fraction(1, 4), 5)) <= 1265
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_certificates_match_downward_search_around_two_pass_order(self, seed):

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from test_cli import DEFAULT_REPORT_SHA256
 from superdom import (
     Graph,
     complete_graph,
@@ -364,9 +365,7 @@ class TestHarness:
         # the sha256 of the default report pins every check, instance label
         # and certificate the harness emits
         doc = report_document(*run_harness(), DEFAULT_CONFIG)
-        assert hashlib.sha256(doc.encode()).hexdigest() == (
-            "bdaa0f731250ef624945a8fb823fa3b8e445221d6811e78e9e5f5c1a6ea0846e"
-        )
+        assert hashlib.sha256(doc.encode()).hexdigest() == DEFAULT_REPORT_SHA256
 
     def test_default_report_is_the_stdlib_encoding(self):
         reports, summary = run_harness()
