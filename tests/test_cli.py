@@ -263,6 +263,19 @@ class TestOp:
         assert f"{operation} takes: " in captured.err and "got 3 operands" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "path", "x"], "gen path: parameter 'x' is not an integer"),
+    (["op", "odot", "{file}", "x"], "op odot: vertex 'x' is not an integer"),
+    (["op", "bouquet", "{file}:x"], "op bouquet: attach vertex 'x' is not an integer"),
+    (["check", "{file}", "--set", "0,,2"], "check: --set vertex '' is not an integer"),
+], ids=["gen", "odot", "bouquet", "check"])
+def test_non_integer_operand_names_command_and_operand(p5, argv, message, capsys):
+    assert main([a.format(file=p5) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 SMALL_CONFIG = {
     "theorems": ["T1", "T2i", "R_chain_sharp_upper"],
     "family_max_order": 6,
@@ -663,3 +676,62 @@ class TestImportBudget:
 
     def test_bare_package_import_loads_no_layer(self):
         assert _modules_loaded("import superdom") == set()
+
+
+def _run_python(*args, stdout=subprocess.PIPE):
+    """A fresh interpreter on ``args``, with ``PYTHONUNBUFFERED`` unset."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+
+
+class TestExitPath:
+    """``console_main`` freezes the heap before the process exits; ``main`` does not,
+    and no command leaves a file for the collector to close."""
+
+    def test_console_main_freezes_before_exit(self, p5):
+        code = (
+            "import atexit, gc, sys\nfrom superdom import cli\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+            f"sys.argv = ['superdom', 'gamma', {p5!r}]\ncli.console_main()"
+        )
+        proc = _run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        label, count = proc.stdout.splitlines()[-1].split()
+        assert label == "frozen" and int(count) > 0
+
+    def test_main_leaves_the_heap_unfrozen(self, p5):
+        code = (
+            "import gc\nfrom superdom import cli\nbefore = gc.get_freeze_count()\n"
+            f"code = cli.main(['gamma', {p5!r}])\nprint(code, before, gc.get_freeze_count())"
+        )
+        proc = _run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        exit_code, before, after = proc.stdout.splitlines()[-1].split()
+        assert exit_code == "0" and before == after
+
+    def test_failed_buffered_write_exits_120(self, p5):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "w") as full:
+            proc = _run_python("-m", "superdom.cli", "gamma", p5, stdout=full)
+        assert proc.returncode == 120
+        assert "No space left on device" in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["gamma", "{file}"],
+        ["gamma-sp", "{file}"],
+        ["check", "{file}", "--set", "0,2,4"],
+        ["gen", "path", "5", "--out", "{out}"],
+        ["op", "odot", "{file}", "1", "--out", "{out}"],
+        ["verify", "--config", "{config}", "--out", "{out}"],
+    ], ids=lambda a: a[0])
+    def test_no_file_is_left_to_the_collector(self, p5, tmp_path, argv):
+        # -X dev shows a file that is never closed as a ResourceWarning, an
+        # error here; the command must exit and print as it does without it
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"theorems": ["T2i"], "family_max_order": 4}))
+        argv = [a.format(file=p5, config=config, out=tmp_path / "out") for a in argv]
+        plain = _run_python("-m", "superdom.cli", *argv)
+        strict = _run_python("-X", "dev", "-W", "error::ResourceWarning", "-m", "superdom.cli", *argv)
+        assert plain.returncode == 0, plain.stderr
+        assert (strict.returncode, strict.stdout, strict.stderr) == (plain.returncode, plain.stdout, plain.stderr)
