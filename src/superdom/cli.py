@@ -71,9 +71,17 @@ def _int(text: str, what: str) -> int:
         raise ValueError(f"{what} {text!r} is not an integer") from None
 
 
+def _read_text(path: str, encoding: str) -> str:
+    """The text of the file at ``path``; one that is not ``encoding`` text is refused by name."""
+    with open(path, "r", encoding=encoding) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:  # decoded whole, so exc.start is the file offset
+            raise ValueError(f"{path}: not {encoding.upper()} text (byte {exc.object[exc.start]:#04x} at offset {exc.start})") from None
+
+
 def _load_graph(path: str, guard: Optional[int] = None, what: str = "") -> Graph:
-    with open(path, "r", encoding="ascii") as fh:
-        return read_edge_list(fh.read(), guard, what)
+    return read_edge_list(_read_text(path, "ascii"), guard, what)
 
 
 def _emit_graph(g: Graph, out: Optional[str], sidecar: dict) -> None:
@@ -88,16 +96,8 @@ def _emit_graph(g: Graph, out: Optional[str], sidecar: dict) -> None:
         print(dumps(sidecar), file=sys.stderr)
 
 
-def _witness_json(witnesses: dict) -> dict:
-    return {str(u): v for u, v in sorted(witnesses.items())}
-
-
 def _witness_line(witnesses: dict) -> str:
     return "witnesses = " + " ".join(f"{u}->{v}" for u, v in sorted(witnesses.items()))
-
-
-def _cert_json(cert: solver.SuperDomCertificate) -> dict:
-    return {"value": cert.value, "set": list(cert.vertices), "witnesses": _witness_json(cert.witnesses)}
 
 
 def cmd_gen(args) -> int:
@@ -136,7 +136,7 @@ def cmd_gamma_sp(args) -> int:
         print("set =", " ".join(str(v) for v in cert.vertices))
         print(_witness_line(cert.witnesses))
     else:
-        print(dumps(_cert_json(cert)))
+        print(dumps({"value": cert.value, **cert.payload()}))
     return EXIT_OK
 
 
@@ -158,19 +158,18 @@ def cmd_check(args) -> int:
     repeated = [v for v in members if v in seen or seen.add(v)]
     if repeated:
         raise ValueError(f"--set lists vertex {min(repeated)} more than once")
-    witnesses = solver.super_domination_witnesses(g, members)
-    if witnesses is None:
-        violation = solver.first_violation(g, members)
+    found = solver._witness_scan(g, members)  # the witness map, or why the set fails
+    if isinstance(found, str):
         if args.format == "text":
-            print(f"not super dominating: {violation}")
+            print(f"not super dominating: {found}")
         else:
-            print(dumps({"super_dominating": False, "violation": violation}))
+            print(dumps({"super_dominating": False, "violation": found}))
         return EXIT_VIOLATION
     if args.format == "text":
         print("super dominating")
-        print(_witness_line(witnesses))
+        print(_witness_line(found))
     else:
-        print(dumps({"super_dominating": True, "witnesses": _witness_json(witnesses)}))
+        print(dumps({"super_dominating": True, "witnesses": solver._witness_payload(found)}))
     return EXIT_OK
 
 
@@ -234,11 +233,10 @@ def cmd_verify(args) -> int:
     if args.config in (None, "default"):
         cfg = theorems.DEFAULT_CONFIG
     else:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except RecursionError:
-                raise ValueError(f"{args.config}: config is nested too deeply") from None
+        try:
+            raw = json.loads(_read_text(args.config, "utf-8"))
+        except RecursionError:
+            raise ValueError(f"{args.config}: config is nested too deeply") from None
         cfg = theorems.config_from_dict(raw)
     if args.guard_n is not None:
         cfg = cfg._replace(guard=args.guard_n)

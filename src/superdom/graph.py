@@ -201,16 +201,24 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _decimal(token: str) -> int:
+    """``token`` as a number if it is unsigned ASCII decimal (``int`` also takes signs and ``_``)."""
+    if token.isascii() and token.isdigit():
+        return int(token)
+    raise ValueError(token)
+
+
 def read_edge_list(text: str, guard: Optional[int] = None, what: str = "") -> Graph:
     """Parse the edge-list text format.
 
     Format: a header line ``n m`` followed by exactly ``m`` lines ``u v``
-    with distinct endpoints in 0..n-1.  Duplicate edges (in either
-    orientation), self-loops, bad indices and count mismatches are all
-    rejected.  With ``guard``, an order above it raises
+    with distinct endpoints in 0..n-1, every number unsigned ASCII decimal
+    as :func:`write_edge_list` writes it.  Duplicate edges (in either
+    orientation), self-loops, bad indices, other numbers and count
+    mismatches are all rejected.  With ``guard``, an order above it raises
     :class:`SizeGuardError` for ``what`` once the text has parsed and
-    before the graph is built, so a solve refuses a file it would not
-    take without first allocating per vertex.
+    before the graph is built, so a solve refuses a file it would not take
+    without first allocating per vertex.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
@@ -220,22 +228,17 @@ def read_edge_list(text: str, guard: Optional[int] = None, what: str = "") -> Gr
     if len(head) != 2:
         raise EdgeListError(f"malformed header {lines[0]!r}, expected 'n m'")
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = map(_decimal, head)
     except ValueError:
-        raise EdgeListError(f"malformed header {lines[0]!r}, expected integers") from None
-    if n < 0 or m < 0:
-        raise EdgeListError("header counts must be non-negative")
+        raise EdgeListError(f"malformed header {lines[0]!r}, expected unsigned decimal integers") from None
     body = lines[1:]
     if len(body) != m:
         raise EdgeListError(f"header promises {m} edges, found {len(body)} edge lines")
     seen = set()
     edges = []
     for ln in body:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise EdgeListError(f"malformed edge line {ln!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = map(_decimal, ln.split())  # a count other than two fails the unpacking
         except ValueError:
             raise EdgeListError(f"malformed edge line {ln!r}") from None
         if not (0 <= u < n and 0 <= v < n):
@@ -334,4 +337,6 @@ def is_isomorphic(g: Graph, h: Graph, max_n: int = DEFAULT_ISO_GUARD) -> bool:
                 image[v] = -1
         return False
 
-    return extend(0)
+    found = extend(0)
+    del extend  # it refers to itself through its cell: free it without the collector
+    return found

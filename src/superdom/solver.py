@@ -57,6 +57,9 @@ integers), and each outside vertex records its smallest witness.  Because
 components partition the vertex range and each search meets its
 component's vertices in ascending order, per-component lexicographic
 minima merge into the global lexicographic minimum.
+
+:meth:`SuperDomCertificate.payload` is the one JSON shape of a certificate,
+which ``gamma-sp``, ``check`` and the ``T1`` rows of the report all write.
 """
 
 from __future__ import annotations
@@ -90,6 +93,15 @@ class SuperDomCertificate(NamedTuple):
     vertices: VertexSet
     witnesses: Dict[int, int]
     value: int
+
+    def payload(self) -> Dict[str, object]:
+        """The set and the witness map as the commands and the report write them."""
+        return {"set": list(self.vertices), "witnesses": _witness_payload(self.witnesses)}
+
+
+def _witness_payload(witnesses: Dict[int, int]) -> Dict[str, int]:
+    """A witness map as JSON writes it: string keys in ascending vertex order."""
+    return {str(u): v for u, v in sorted(witnesses.items())}
 
 
 def _as_vertex_set(g: Graph, s: SetLike) -> VertexSet:
@@ -281,6 +293,7 @@ def _best_complement(adj: Tuple[int, ...], comp: Tuple[int, ...], floor: int = 0
         return False
 
     extend(0, 0, 0, 0, 0)
+    del extend  # it refers to itself through its cell: free it without the collector
     return best
 
 
@@ -342,7 +355,9 @@ def _min_dominating(adj: Tuple[int, ...], comp: Tuple[int, ...]) -> int:
     for k in range(1, order + 1):
         found = extend(0, k, 0)
         if found is not None:
+            del extend  # it refers to itself through its cell: free it without the collector
             return found
+    del extend
     raise RuntimeError("domination search found no set, not even the whole component")
 
 

@@ -141,13 +141,6 @@ def _dom_cert(g: Graph, guard: int) -> solver.DomCertificate:
     return solver.gamma(g, guard=guard)
 
 
-def _cert_payload(cert: solver.SuperDomCertificate) -> Dict:
-    return {
-        "set": list(cert.vertices),
-        "witnesses": {str(u): v for u, v in sorted(cert.witnesses.items())},
-    }
-
-
 def _default_label(g: Graph) -> str:
     return f"graph(n={g.n},m={g.m})"
 
@@ -173,7 +166,7 @@ def check_sandwich(g: Graph, instance: Optional[str] = None, guard: int = solver
     if all(g.adj):
         rows.append((dom.value, "<=", half))
     rows += [(half, "<=", sdom.value), (sdom.value, "<=", g.n - 1)]
-    witness = {"gamma_set": list(dom.vertices), "gamma_sp": _cert_payload(sdom)}
+    witness = {"gamma_set": list(dom.vertices), "gamma_sp": sdom.payload()}
     return _report("T1", instance or _default_label(g), rows, witness)
 
 

@@ -13,11 +13,14 @@ import pytest
 from referencing import Registry
 from referencing.jsonschema import DRAFT7
 
-from superdom import read_edge_list, friendship_graph, is_isomorphic, star_graph
+from superdom import read_edge_list, friendship_graph, is_isomorphic, solver, star_graph, write_edge_list
 from superdom.cli import main
 from superdom.families import FAMILY_KINDS
 from superdom.jsontext import dumps
-from superdom.theorems import _JSON_KEYS, _MINIMUMS, ALL_THEOREM_IDS, HarnessConfig, RandomGrid
+from superdom.theorems import (
+    _JSON_KEYS, _MINIMUMS, ALL_THEOREM_IDS, HarnessConfig, RandomGrid, family_pool, random_pool, report_document,
+    run_harness,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMAS = ROOT / "docs" / "schemas"
@@ -157,6 +160,14 @@ class TestGammaSp:
 
 
 class TestGamma:
+    def test_undecodable_file_is_named(self, tmp_path, capsys):
+        path = tmp_path / "uni.el"
+        path.write_bytes(b"3 1\n0 1\xd9\n")
+        assert main(["gamma", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: not ASCII text (byte 0xd9 at offset 7)\n"
+
     def test_p5(self, p5, capsys):
         assert main(["gamma", p5]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -176,6 +187,14 @@ class TestCheck:
         payload = json.loads(capsys.readouterr().out)
         validate(payload, "check.schema.json")
         assert payload["violation"] == "u=1: no witness"
+
+    def test_failing_set_is_scanned_once(self, k3, monkeypatch, capsys):
+        scans = []
+        scan = solver._witness_scan
+        monkeypatch.setattr(solver, "_witness_scan", lambda g, s: scans.append(s) or scan(g, s))
+        assert main(["--format", "text", "check", k3, "--set", "0"]) == 1
+        assert capsys.readouterr().out == "not super dominating: u=1: no witness\n"
+        assert len(scans) == 1
 
     def test_full_set_vacuous(self, tmp_path, capsys):
         p3 = write_graph_file(tmp_path, "p3.el", "3 2\n0 1\n1 2\n")
@@ -447,6 +466,14 @@ class TestVerify:
         assert main(["--guard-n", "24", "verify", "--config", str(cfg)]) == 0
         assert json.loads(capsys.readouterr().out)["config"]["guard"] == 24
 
+    def test_undecodable_config_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(b"\xff{}")
+        assert main(["verify", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}: not UTF-8 text (byte 0xff at offset 0)\n"
+
     def test_deeply_nested_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "deep.json"
         cfg.write_text("[" * 200000)
@@ -535,6 +562,21 @@ class TestVerify:
 
 
 DEFAULT_REPORT_SHA256 = "bdaa0f731250ef624945a8fb823fa3b8e445221d6811e78e9e5f5c1a6ea0846e"
+
+
+def test_report_t1_witness_is_what_gamma_sp_prints(tmp_path, capsys):
+    # the report and the command write one payload, so they cannot drift apart
+    cfg = HarnessConfig(theorems=("T1",), family_max_order=7, random=RandomGrid(count=12, n_min=4, n_max=12))
+    pool = dict(family_pool(cfg.family_max_order) + random_pool(cfg.random))
+    doc = json.loads(report_document(*run_harness(cfg), cfg))
+    assert len(doc["reports"]) > 20
+    for row in doc["reports"]:
+        path = tmp_path / "g.el"
+        path.write_text(write_edge_list(pool[row["instance"]]))
+        assert main(["gamma-sp", str(path)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed.pop("value") == len(printed["set"])
+        assert row["witness"]["gamma_sp"] == printed
 
 
 def test_report_hash_is_pinned_once():

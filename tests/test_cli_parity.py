@@ -230,17 +230,17 @@ def _same_as_json(obj):
 def _certificate_outputs(g, checks_too=True):
     """Every object the solve commands print for ``g``."""
     cert = solver.gamma_sp(g, guard=24)
-    yield cli._cert_json(cert)
+    yield {"value": cert.value, **cert.payload()}
     dom = solver.gamma(g, guard=24)
     yield {"value": dom.value, "set": list(dom.vertices)}
     if checks_too:
         chosen = list(cert.vertices)
         for members in (chosen, chosen[:-1], list(dom.vertices), []):
-            witnesses = solver.super_domination_witnesses(g, members)
-            if witnesses is None:
-                yield {"super_dominating": False, "violation": solver.first_violation(g, members)}
+            found = solver._witness_scan(g, members)
+            if isinstance(found, str):
+                yield {"super_dominating": False, "violation": found}
             else:
-                yield {"super_dominating": True, "witnesses": cli._witness_json(witnesses)}
+                yield {"super_dominating": True, "witnesses": solver._witness_payload(found)}
 
 
 def test_dump_matches_json_on_the_atlas():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -159,6 +160,18 @@ class TestEdgeList:
     def test_guard_comes_after_the_body_checks(self):
         with pytest.raises(EdgeListError, match="self-loop"):
             read_edge_list("30 1\n0 0", guard=24, what="scan")
+
+    @pytest.mark.parametrize("text, line", [
+        ("12 1\n1_0 2\n", "'1_0 2'"),  # int() would read the edge (10, 2)
+        ("3 1\n+1 2\n", "'+1 2'"),
+        ("3 1\n1 \u0662\n", "'1 \u0662'"),  # an Arabic-Indic two, which int() also takes
+        ("1_2 0\n", "'1_2 0'"),  # int() would read 12 vertices
+        ("+3 0\n", "'+3 0'"),
+        ("-1 0\n", "'-1 0'"),
+    ], ids=["underscore", "plus", "non-ascii-digit", "header-underscore", "header-plus", "header-minus"])
+    def test_numbers_are_unsigned_decimal_digits(self, text, line):
+        with pytest.raises(EdgeListError, match=f"^malformed (header|edge line) {re.escape(line)}"):
+            read_edge_list(text)
 
 
 class TestIsomorphism:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 from collections import Counter
@@ -19,7 +20,7 @@ from superdom import (
     path_graph,
     star_graph,
 )
-from superdom import families, ops, theorems
+from superdom import families, is_isomorphic, ops, solver, theorems
 from superdom.theorems import (
     ALL_THEOREM_IDS,
     DEFAULT_CONFIG,
@@ -585,3 +586,24 @@ class TestReportDocument:
         report = check_odot_sharp(2)._replace(**changes)
         with pytest.raises(TypeError):
             report_document([report], {}, SMALL_CONFIG)
+
+
+def test_searches_leave_nothing_for_the_cyclic_collector():
+    """Each recursive search frees its own closure, so with the collector
+    off, the solvers, the isomorphism test and a default harness run leave
+    no cycle behind."""
+    theorems._sdom_cert.cache_clear()  # so the harness solves again
+    theorems._dom_cert.cache_clear()
+    gc.collect()
+    gc.disable()
+    try:
+        g = gnp_random_graph(16, Fraction(1, 4), 5)  # a component of 12 or more takes both passes
+        solver.gamma_sp(g)
+        solver.gamma(g)
+        triangles = disjoint_union(complete_graph(3), complete_graph(3)).graph
+        assert not is_isomorphic(cycle_graph(6), triangles)  # both 2-regular: refinement leaves it to the search
+        assert is_isomorphic(star_graph(4), star_graph(4))
+        theorems.run_harness()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
