@@ -2,8 +2,12 @@
 
 One binary, subcommand style; edge-list files are the composition
 mechanism.  Exit codes: 0 success, 1 check/bound violation, 2 usage or
-parse error, 3 size guard exceeded.  JSON output is emitted with sorted
-keys so identical invocations are byte-identical.
+parse error, 3 size guard exceeded, 120 stdout could not be written.
+JSON output is emitted with sorted keys so identical invocations are
+byte-identical.  Each command returns its exit code and its stdout text,
+and :func:`main` alone writes and flushes that text, so a failed write
+(a closed pipe, a full device) is told apart from a file the command
+could not read or open, which stays a usage error.
 
 The command line is stated once, in ``OPTIONS`` and ``COMMANDS``, and
 read in one of two ways.  A plain spelling, the one every solve and the
@@ -34,10 +38,12 @@ file above it is refused before its graph is built.
 ``superdom`` script, freezes the heap once ``main`` has returned: the
 process is about to exit, and the collections of interpreter shutdown
 would otherwise walk every object start-up and the command left, which
-takes longer than a small solve.  Shutdown still flushes stdout (exit
-120 when that write fails), runs ``atexit`` and frees by reference
-count.  ``main`` does not freeze, so a caller that runs it in-process,
-tests and the tracer among them, keeps a heap the collector still walks.
+takes longer than a small solve.  After a failed write it first points
+stdout at ``os.devnull``, so shutdown's flush of what is still buffered
+prints no second error.  Shutdown still runs ``atexit`` and frees by
+reference count.  ``main`` does not freeze, so a caller that runs it
+in-process, tests and the tracer among them, keeps a heap the collector
+still walks.
 Every file the commands open is closed explicitly, never left to the
 collector.
 """
@@ -48,7 +54,7 @@ import gc
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from . import solver
 from .graph import EdgeListError, Graph, SizeGuardError, read_edge_list, write_edge_list
@@ -61,6 +67,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
+EXIT_WRITE = 120  # as when the flush at interpreter shutdown fails
 
 
 def _int(text: str, what: str) -> int:
@@ -84,23 +91,27 @@ def _load_graph(path: str, guard: Optional[int] = None, what: str = "") -> Graph
     return read_edge_list(_read_text(path, "ascii"), guard, what)
 
 
-def _emit_graph(g: Graph, out: Optional[str], sidecar: dict) -> None:
-    """Edge list to --out (sidecar JSON on stdout) or to stdout (sidecar on stderr)."""
+def _emit_graph(g: Graph, out: Optional[str], sidecar: dict) -> str:
+    """Edge list to --out (sidecar JSON on stdout) or to stdout (sidecar on
+    stderr); returns the stdout text."""
     text = write_edge_list(g)
     if out:
         with open(out, "w", encoding="ascii") as fh:
             fh.write(text)
-        print(dumps(sidecar))
-    else:
-        sys.stdout.write(text)
-        print(dumps(sidecar), file=sys.stderr)
+        return dumps(sidecar) + "\n"
+    print(dumps(sidecar), file=sys.stderr)
+    return text
+
+
+def _set_line(vertices) -> str:
+    return "set = " + " ".join(map(str, vertices)) + "\n"
 
 
 def _witness_line(witnesses: dict) -> str:
-    return "witnesses = " + " ".join(f"{u}->{v}" for u, v in sorted(witnesses.items()))
+    return "witnesses = " + " ".join(f"{u}->{v}" for u, v in sorted(witnesses.items())) + "\n"
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> Tuple[int, str]:
     from . import families
 
     params = tuple(args.params)
@@ -119,8 +130,7 @@ def cmd_gen(args) -> int:
         "size": inst.graph.m,
         "distinguished": inst.distinguished,
     }
-    _emit_graph(inst.graph, args.out, meta)
-    return EXIT_OK
+    return EXIT_OK, _emit_graph(inst.graph, args.out, meta)
 
 
 def _guard(args) -> int:
@@ -128,30 +138,23 @@ def _guard(args) -> int:
     return solver.DEFAULT_GUARD if args.guard_n is None else args.guard_n
 
 
-def cmd_gamma_sp(args) -> int:
+def cmd_gamma_sp(args) -> Tuple[int, str]:
     guard = _guard(args)
     cert = solver.gamma_sp(_load_graph(args.file, guard, solver.SP_SEARCH), guard=guard)
     if args.format == "text":
-        print(f"gamma_sp = {cert.value}")
-        print("set =", " ".join(str(v) for v in cert.vertices))
-        print(_witness_line(cert.witnesses))
-    else:
-        print(dumps({"value": cert.value, **cert.payload()}))
-    return EXIT_OK
+        return EXIT_OK, f"gamma_sp = {cert.value}\n" + _set_line(cert.vertices) + _witness_line(cert.witnesses)
+    return EXIT_OK, dumps({"value": cert.value, **cert.payload()}) + "\n"
 
 
-def cmd_gamma(args) -> int:
+def cmd_gamma(args) -> Tuple[int, str]:
     guard = _guard(args)
     cert = solver.gamma(_load_graph(args.file, guard, solver.DOM_SEARCH), guard=guard)
     if args.format == "text":
-        print(f"gamma = {cert.value}")
-        print("set =", " ".join(str(v) for v in cert.vertices))
-    else:
-        print(dumps({"value": cert.value, "set": list(cert.vertices)}))
-    return EXIT_OK
+        return EXIT_OK, f"gamma = {cert.value}\n" + _set_line(cert.vertices)
+    return EXIT_OK, dumps({"value": cert.value, "set": list(cert.vertices)}) + "\n"
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> Tuple[int, str]:
     g = _load_graph(args.file)
     members = [_int(x, "check: --set vertex") for x in args.set.split(",")] if args.set else []
     seen = set()
@@ -161,16 +164,11 @@ def cmd_check(args) -> int:
     found = solver._witness_scan(g, members)  # the witness map, or why the set fails
     if isinstance(found, str):
         if args.format == "text":
-            print(f"not super dominating: {found}")
-        else:
-            print(dumps({"super_dominating": False, "violation": found}))
-        return EXIT_VIOLATION
+            return EXIT_VIOLATION, f"not super dominating: {found}\n"
+        return EXIT_VIOLATION, dumps({"super_dominating": False, "violation": found}) + "\n"
     if args.format == "text":
-        print("super dominating")
-        print(_witness_line(found))
-    else:
-        print(dumps({"super_dominating": True, "witnesses": solver._witness_payload(found)}))
-    return EXIT_OK
+        return EXIT_OK, "super dominating\n" + _witness_line(found)
+    return EXIT_OK, dumps({"super_dominating": True, "witnesses": solver._witness_payload(found)}) + "\n"
 
 
 OP_OPERANDS = {
@@ -213,7 +211,7 @@ def _compose(name: str, operands: List[str]) -> ops.CompositionResult:
     return compose([(_load_graph(path), *xs) for path, *xs in specs])
 
 
-def cmd_op(args) -> int:
+def cmd_op(args) -> Tuple[int, str]:
     comp = _compose(args.operation, args.args)
     sidecar = {
         "order": comp.graph.n,
@@ -221,11 +219,10 @@ def cmd_op(args) -> int:
         "vertex_maps": [list(m) for m in comp.vertex_maps],
         "merged": list(comp.merged),
     }
-    _emit_graph(comp.graph, args.out, sidecar)
-    return EXIT_OK
+    return EXIT_OK, _emit_graph(comp.graph, args.out, sidecar)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Tuple[int, str]:
     import json
 
     from . import theorems
@@ -256,18 +253,16 @@ def cmd_verify(args) -> int:
         if created:
             os.remove(out)
         raise
+    code = EXIT_OK if summary["failed"] == 0 else EXIT_VIOLATION
     if not out:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        if args.format == "text":
-            for tid, slot in sorted(summary["per_theorem"].items()):
-                print(f"{tid}: {slot['checked']} checked, {slot['failed']} failed")
-            print(f"total: {summary['total']} checked, {summary['failed']} failed")
-        else:
-            print(dumps({"summary": summary}))
-    return EXIT_OK if summary["failed"] == 0 else EXIT_VIOLATION
+        return code, text
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    if args.format == "text":
+        lines = [f"{tid}: {slot['checked']} checked, {slot['failed']} failed\n"
+                 for tid, slot in sorted(summary["per_theorem"].items())]
+        return code, "".join(lines) + f"total: {summary['total']} checked, {summary['failed']} failed\n"
+    return code, dumps({"summary": summary}) + "\n"
 
 
 def _family_kinds():
@@ -411,17 +406,28 @@ def parse_args(argv: List[str]) -> SimpleNamespace:
 def main(argv: Optional[List[str]] = None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        code, text = args.func(args)
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (EdgeListError, ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: writing stdout: {exc}", file=sys.stderr)
+        return EXIT_WRITE
+    return code
 
 
 def console_main() -> None:
     code = main()
+    if code == EXIT_WRITE:
+        # stdout is gone: point it at os.devnull, so shutdown's flush of
+        # what is still buffered cannot fail and print a second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     gc.freeze()  # the process exits next: spare shutdown's collections the whole heap
     sys.exit(code)
 

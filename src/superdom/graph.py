@@ -213,15 +213,27 @@ def read_edge_list(text: str, guard: Optional[int] = None, what: str = "") -> Gr
 
     Format: a header line ``n m`` followed by exactly ``m`` lines ``u v``
     with distinct endpoints in 0..n-1, every number unsigned ASCII decimal
-    as :func:`write_edge_list` writes it.  Duplicate edges (in either
-    orientation), self-loops, bad indices, other numbers and count
-    mismatches are all rejected.  With ``guard``, an order above it raises
+    as :func:`write_edge_list` writes it.  Lines end at ``\n``, and one
+    ``\r`` ending a line is dropped; numbers are separated by spaces and
+    tabs, and a line of only those is skipped.  Any other control
+    character (or, in text that is not ASCII, anything ``str.isprintable``
+    refuses) is rejected naming its line, as are duplicate edges (in
+    either orientation), self-loops, bad indices, other numbers and count
+    mismatches.  With ``guard``, an order above it raises
     :class:`SizeGuardError` for ``what`` once the text has parsed and
     before the graph is built, so a solve refuses a file it would not take
     without first allocating per vertex.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    lines = []
+    for number, line in enumerate(text.split("\n"), 1):
+        if line[-1:] == "\r":
+            line = line[:-1]
+        if not line.replace("\t", " ").isprintable():  # so str.split() below splits at spaces and tabs only
+            bad = next(c for c in line if c != "\t" and not c.isprintable())
+            raise EdgeListError(f"line {number}: control character {bad!r}")
+        line = line.strip()
+        if line:
+            lines.append(line)
     if not lines:
         raise EdgeListError("empty input")
     head = lines[0].split()

@@ -40,6 +40,10 @@ the vertex operations, and :func:`_glued_sandwich` builds the chain and
 bouquet sandwich rows from the part values and a slack.  The checks and
 the sharpness witnesses take their bounds from these two.
 
+The size guard is checked once, by :func:`run_harness`, before any check
+runs.  The checks and the certificate caches take no guard, so a check
+called directly solves whatever graph it is given.
+
 :class:`TheoremReport` and the config records :class:`RandomGrid` and
 :class:`HarnessConfig` are ``NamedTuple``s, so ``verify`` loads neither
 ``dataclasses`` nor what it imports (``inspect``, ``ast``, ``dis``).  The
@@ -98,17 +102,6 @@ class TheoremReport(NamedTuple):
     holds: bool
     witness: Dict
 
-    def to_dict(self) -> Dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "instance": self.instance,
-            "lhs": [_num(x) for x in self.lhs],
-            "relations": list(self.relations),
-            "rhs": [_num(x) for x in self.rhs],
-            "holds": self.holds,
-            "witness": self.witness,
-        }
-
 
 def _num(x):
     if isinstance(x, Fraction):
@@ -131,14 +124,15 @@ def _report(tid: str, instance: str, rows: Sequence[Row], witness: Optional[Dict
     return TheoremReport(tid, instance, lhs, relations, rhs, all(map(_row_ok, lhs, relations, rhs)), witness or {})
 
 
+# guard=g.n: run_harness refused every plan above cfg.guard before any solve
 @lru_cache(maxsize=None)
-def _sdom_cert(g: Graph, guard: int) -> solver.SuperDomCertificate:
-    return solver.gamma_sp(g, guard=guard)
+def _sdom_cert(g: Graph) -> solver.SuperDomCertificate:
+    return solver.gamma_sp(g, guard=g.n)
 
 
 @lru_cache(maxsize=None)
-def _dom_cert(g: Graph, guard: int) -> solver.DomCertificate:
-    return solver.gamma(g, guard=guard)
+def _dom_cert(g: Graph) -> solver.DomCertificate:
+    return solver.gamma(g, guard=g.n)
 
 
 def _default_label(g: Graph) -> str:
@@ -149,7 +143,7 @@ def _default_label(g: Graph) -> str:
 # Single-instance checks
 
 
-def check_sandwich(g: Graph, instance: Optional[str] = None, guard: int = solver.DEFAULT_GUARD) -> TheoremReport:
+def check_sandwich(g: Graph, instance: Optional[str] = None) -> TheoremReport:
     """1 <= gamma(G) <= n/2 <= gamma_sp(G) <= n-1, for graphs with an edge.
 
     The gamma <= n/2 row is the classical domination bound, which needs
@@ -159,8 +153,8 @@ def check_sandwich(g: Graph, instance: Optional[str] = None, guard: int = solver
     """
     if g.m == 0:
         raise ValueError("sandwich bound applies only to graphs with at least one edge")
-    dom = _dom_cert(g, guard)
-    sdom = _sdom_cert(g, guard)
+    dom = _dom_cert(g)
+    sdom = _sdom_cert(g)
     half = Fraction(g.n, 2)
     rows: List[Row] = [(1, "<=", dom.value)]
     if all(g.adj):
@@ -170,14 +164,14 @@ def check_sandwich(g: Graph, instance: Optional[str] = None, guard: int = solver
     return _report("T1", instance or _default_label(g), rows, witness)
 
 
-def check_closed_forms(max_order: int, guard: int = solver.DEFAULT_GUARD) -> List[TheoremReport]:
+def check_closed_forms(max_order: int) -> List[TheoremReport]:
     """Solver value == closed form, for every family instance of order <=
     max_order that lies in the domain of its family's closed form."""
     reports = []
     for inst in families.family_grid(max_order):
         family = families.FAMILIES[inst.kind]
         if family.check_id and family.in_domain(*inst.params):
-            rows = [(_sdom_cert(inst.graph, guard).value, "==", family.value(*inst.params))]
+            rows = [(_sdom_cert(inst.graph).value, "==", family.value(*inst.params))]
             reports.append(_report(family.check_id, inst.label(), rows))
     return reports
 
@@ -192,7 +186,7 @@ def _op_slack(deg: int) -> int:
     return deg // 2 - 1
 
 
-def check_vertex(g: Graph, v: int, instance: Optional[str] = None, guard: int = solver.DEFAULT_GUARD) -> List[TheoremReport]:
+def check_vertex(g: Graph, v: int, instance: Optional[str] = None) -> List[TheoremReport]:
     """Every vertex-operation check at v, each surgery built once.
 
     A pendant v gives ``P_odot_pendant``: clearing around it keeps
@@ -205,13 +199,13 @@ def check_vertex(g: Graph, v: int, instance: Optional[str] = None, guard: int = 
     deg = g.degree(v)
     if deg == 0:
         raise ValueError(f"vertex {v} is isolated: the bound needs deg(v) >= 2")
-    base = _sdom_cert(g, guard).value
-    cleared = _sdom_cert(ops.odot(g, v), guard).value
+    base = _sdom_cert(g).value
+    cleared = _sdom_cert(ops.odot(g, v)).value
     label = instance or _default_label(g)
     witness = {"v": v, "degree": deg, "base_value": base}
     if deg == 1:
         return [_report("P_odot_pendant", f"odot({label},v={v})", [(cleared, "==", base)], witness)]
-    contracted = _sdom_cert(ops.contract_clique(g, v), guard).value
+    contracted = _sdom_cert(ops.contract_clique(g, v)).value
     slack = _op_slack(deg)
     return [
         _report("T_odot", f"odot({label},v={v})", [(cleared, "<=", base + slack)], witness),
@@ -221,15 +215,15 @@ def check_vertex(g: Graph, v: int, instance: Optional[str] = None, guard: int = 
     ]
 
 
-def _check_union(g1: Graph, g2: Graph, instance: str, guard: int) -> TheoremReport:
+def _check_union(g1: Graph, g2: Graph, instance: str) -> TheoremReport:
     """gamma_sp is additive over the disjoint union of g1 and g2."""
-    v1 = _sdom_cert(g1, guard).value
-    v2 = _sdom_cert(g2, guard).value
-    total = _sdom_cert(ops.disjoint_union(g1, g2).graph, guard).value
+    v1 = _sdom_cert(g1).value
+    v2 = _sdom_cert(g2).value
+    total = _sdom_cert(ops.disjoint_union(g1, g2).graph).value
     return _report("P_union", instance, [(total, "==", v1 + v2)], {"part_values": [v1, v2]})
 
 
-def _glued_sandwich(compose: Callable, parts: Sequence[Tuple], slack: int, guard: int) -> Tuple[ops.CompositionResult, List[int], List[Row]]:
+def _glued_sandwich(compose: Callable, parts: Sequence[Tuple], slack: int) -> Tuple[ops.CompositionResult, List[int], List[Row]]:
     """Glue connected parts with ``ops.chain`` or ``ops.bouquet`` and state
     the composition bound sum - slack <= gamma_sp <= sum over the part values.
 
@@ -239,9 +233,9 @@ def _glued_sandwich(compose: Callable, parts: Sequence[Tuple], slack: int, guard
         if not g.is_connected():
             raise ValueError(f"part {i} is disconnected; the composition bounds assume connected parts")
     comp = compose(parts)
-    values = [_sdom_cert(g, guard).value for g, *_ in parts]
+    values = [_sdom_cert(g).value for g, *_ in parts]
     total = sum(values)
-    val = _sdom_cert(comp.graph, guard).value
+    val = _sdom_cert(comp.graph).value
     return comp, values, [(total - slack, "<=", val), (val, "<=", total)]
 
 
@@ -251,7 +245,6 @@ def check_chain2(
     g2: Graph,
     x2: int,
     instance: Optional[str] = None,
-    guard: int = solver.DEFAULT_GUARD,
 ) -> TheoremReport:
     """Two-part chain sandwich, plus a constructive spot check when it applies.
 
@@ -262,10 +255,10 @@ def check_chain2(
     private neighbour) is verified to super dominate the chain at size
     value1 + value2.  Other certificate shapes skip the spot check.
     """
-    comp, values, rows = _glued_sandwich(ops.chain, [(g1, y1, y1), (g2, x2, x2)], 1, guard)
+    comp, values, rows = _glued_sandwich(ops.chain, [(g1, y1, y1), (g2, x2, x2)], 1)
     z = comp.merged[0]
-    c1 = _sdom_cert(g1, guard)
-    c2 = _sdom_cert(g2, guard)
+    c1 = _sdom_cert(g1)
+    c2 = _sdom_cert(g2)
     total = sum(values)
     witness: Dict = {"part_values": values, "merged_vertex": z}
 
@@ -302,10 +295,9 @@ def check_chain2(
 def check_chain_n(
     parts: Sequence[Tuple[Graph, int, int]],
     instance: Optional[str] = None,
-    guard: int = solver.DEFAULT_GUARD,
 ) -> TheoremReport:
     """Chain of any number of connected parts: sum - k <= value <= sum."""
-    comp, values, rows = _glued_sandwich(ops.chain, parts, len(parts), guard)
+    comp, values, rows = _glued_sandwich(ops.chain, parts, len(parts))
     label = instance or "chain(" + ",".join(f"{_default_label(g)}@{x}:{y}" for g, x, y in parts) + ")"
     return _report("C_chain_n", label, rows, {"part_values": values, "merged": list(comp.merged)})
 
@@ -313,14 +305,13 @@ def check_chain_n(
 def check_bouquet(
     parts: Sequence[Tuple[Graph, int]],
     instance: Optional[str] = None,
-    guard: int = solver.DEFAULT_GUARD,
 ) -> TheoremReport:
     """Bouquet of connected parts: sum - k + 1 <= value <= sum.
 
     Two- and three-part instances report under their dedicated
     identifiers; the bound itself coincides with the general form.
     """
-    comp, values, rows = _glued_sandwich(ops.bouquet, parts, len(parts) - 1, guard)
+    comp, values, rows = _glued_sandwich(ops.bouquet, parts, len(parts) - 1)
     tid = {2: "P_bouquet2", 3: "T_bouquet3"}.get(len(parts), "C_bouquet_n")
     label = instance or "bouquet(" + ",".join(f"{_default_label(g)}@{x}" for g, x in parts) + ")"
     return _report(tid, label, rows, {"part_values": values, "hub": comp.merged[0]})
@@ -330,52 +321,48 @@ def check_bouquet(
 # Sharpness witnesses
 
 
-def _check_sharp(tid: str, instance: str, graph: Graph, bound: int, kind: str, param: int, guard: int) -> TheoremReport:
+def _check_sharp(tid: str, instance: str, graph: Graph, bound: int, kind: str, param: int) -> TheoremReport:
     """``graph`` is the family member ``kind(param)`` and achieves ``bound``:
     its gamma_sp equals both the family's closed form and the bound."""
     target = families.build_family(kind, (param,))
-    val = _sdom_cert(graph, guard).value
+    val = _sdom_cert(graph).value
     iso = is_isomorphic(graph, target.graph, max_n=max(DEFAULT_ISO_GUARD, graph.n))
     rows = [(val, "==", families.FAMILIES[kind].value(param)), (val, "==", bound), (int(iso), "==", 1)]
     return _report(tid, instance, rows, {"isomorphic_to": target.label()})
 
 
-def check_odot_sharp(k: int, guard: int = solver.DEFAULT_GUARD) -> TheoremReport:
+def check_odot_sharp(k: int) -> TheoremReport:
     """Clearing around a friendship centre turns F_k into the star K_{1,2k},
     achieving the clearing bound with equality."""
     f = families.friendship_graph(k)
-    bound = _sdom_cert(f, guard).value + _op_slack(f.degree(0))
-    return _check_sharp("R_odot_sharp", f"odot(friendship({k}),v=0)", ops.odot(f, 0), bound, "star", 2 * k, guard)
+    bound = _sdom_cert(f).value + _op_slack(f.degree(0))
+    return _check_sharp("R_odot_sharp", f"odot(friendship({k}),v=0)", ops.odot(f, 0), bound, "star", 2 * k)
 
 
-def check_chain_sharp_upper(guard: int = solver.DEFAULT_GUARD) -> TheoremReport:
+def check_chain_sharp_upper() -> TheoremReport:
     """Two paths P_3 chained at their middles give K_{1,4} and hit the upper bound."""
     p3 = families.path_graph(3)
-    comp, _, (_, upper) = _glued_sandwich(ops.chain, [(p3, 1, 1), (p3, 1, 1)], 1, guard)
-    return _check_sharp("R_chain_sharp_upper", "chain(path(3)@1,path(3)@1)", comp.graph, upper[2], "star", 4, guard)
+    comp, _, (_, upper) = _glued_sandwich(ops.chain, [(p3, 1, 1), (p3, 1, 1)], 1)
+    return _check_sharp("R_chain_sharp_upper", "chain(path(3)@1,path(3)@1)", comp.graph, upper[2], "star", 4)
 
 
-def check_chain_sharp_lower(guard: int = solver.DEFAULT_GUARD) -> TheoremReport:
-    """F_4 and F_5 chained at their centres give F_9 and hit the lower bound.
-
-    The composed graph has 19 vertices, so the exact solve needs the guard
-    at 19 or above.
-    """
+def check_chain_sharp_lower() -> TheoremReport:
+    """F_4 and F_5 chained at their centres give F_9 and hit the lower bound."""
     parts = [(families.friendship_graph(4), 0, 0), (families.friendship_graph(5), 0, 0)]
-    comp, _, (lower, _) = _glued_sandwich(ops.chain, parts, 1, guard)
-    return _check_sharp("R_chain_sharp_lower", "chain(friendship(4)@0,friendship(5)@0)", comp.graph, lower[0], "friendship", 9, guard)
+    comp, _, (lower, _) = _glued_sandwich(ops.chain, parts, 1)
+    return _check_sharp("R_chain_sharp_lower", "chain(friendship(4)@0,friendship(5)@0)", comp.graph, lower[0], "friendship", 9)
 
 
-def check_bouquet_sharp_lower(k: int, guard: int = solver.DEFAULT_GUARD) -> TheoremReport:
+def check_bouquet_sharp_lower(k: int) -> TheoremReport:
     """k copies of F_2 glued at their centres give F_{2k} and hit the lower bound."""
-    comp, _, (lower, _) = _glued_sandwich(ops.bouquet, [(families.friendship_graph(2), 0)] * k, k - 1, guard)
-    return _check_sharp("R_bouquet_sharp_lower", f"bouquet({k} x friendship(2)@0)", comp.graph, lower[0], "friendship", 2 * k, guard)
+    comp, _, (lower, _) = _glued_sandwich(ops.bouquet, [(families.friendship_graph(2), 0)] * k, k - 1)
+    return _check_sharp("R_bouquet_sharp_lower", f"bouquet({k} x friendship(2)@0)", comp.graph, lower[0], "friendship", 2 * k)
 
 
-def check_bouquet_sharp_upper(k: int, guard: int = solver.DEFAULT_GUARD) -> TheoremReport:
+def check_bouquet_sharp_upper(k: int) -> TheoremReport:
     """k edges glued at one endpoint give K_{1,k} and hit the upper bound."""
-    comp, _, (_, upper) = _glued_sandwich(ops.bouquet, [(families.path_graph(2), 0)] * k, k - 1, guard)
-    return _check_sharp("R_bouquet_sharp_upper", f"bouquet({k} x path(2)@0)", comp.graph, upper[2], "star", k, guard)
+    comp, _, (_, upper) = _glued_sandwich(ops.bouquet, [(families.path_graph(2), 0)] * k, k - 1)
+    return _check_sharp("R_bouquet_sharp_upper", f"bouquet({k} x path(2)@0)", comp.graph, upper[2], "star", k)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +557,9 @@ def run_harness(cfg: HarnessConfig = DEFAULT_CONFIG) -> Tuple[List[TheoremReport
     instance is planned with the largest order it solves (its derived
     graphs included: unions, compositions, sharpness witnesses) before any
     runs, and a plan above the size guard is a ``ValueError`` naming the
-    checks, rather than a size-guard error halfway through the run.
+    checks, rather than a size-guard error halfway through the run.  That
+    is the only guard check of a harness solve: a plan's stated order must
+    be the largest it solves, which the tests pin for every identifier.
     :func:`check_closed_forms` runs once if any closed form is selected,
     and :func:`check_vertex` at each vertex whose degree class has a
     selected id; each reports all its ids, and only the selected ones are
@@ -594,22 +583,22 @@ def run_harness(cfg: HarnessConfig = DEFAULT_CONFIG) -> Tuple[List[TheoremReport
     if "T1" in want:
         for label, g in pool:
             if g.m:
-                plan("T1", g.n, check_sandwich, g, label, guard)
+                plan("T1", g.n, check_sandwich, g, label)
 
     closed = [f.check_id for f in families.FAMILIES.values() if f.check_id in want]
     if closed:
-        plans.append((closed, cfg.family_max_order, partial(check_closed_forms, cfg.family_max_order, guard)))
+        plans.append((closed, cfg.family_max_order, partial(check_closed_forms, cfg.family_max_order)))
 
     for label, g in [(label, g) for label, g in pool if g.n <= 10]:
         for v in range(g.n):
             ids = [tid for tid in _VERTEX_IDS[min(g.degree(v), 2)] if tid in want]
             if ids:
-                plans.append((ids, g.n, partial(check_vertex, g, v, label, guard)))
+                plans.append((ids, g.n, partial(check_vertex, g, v, label)))
 
     if "P_union" in want:
         for i in range(min(cfg.union_pairs, len(pool) // 2)):
             (l1, g1), (l2, g2) = pool[2 * i], pool[2 * i + 1]
-            plan("P_union", g1.n + g2.n, _check_union, g1, g2, f"union({l1},{l2})", guard)
+            plan("P_union", g1.n + g2.n, _check_union, g1, g2, f"union({l1},{l2})")
 
     if "T_chain2" in want:
         parts = connected_random_pool(2 * cfg.chain_samples, cfg.random.seed + 100_000)
@@ -617,7 +606,7 @@ def run_harness(cfg: HarnessConfig = DEFAULT_CONFIG) -> Tuple[List[TheoremReport
             (l1, g1), (l2, g2) = parts[2 * i], parts[2 * i + 1]
             y1 = _pick_vertex(cfg.random.seed, f"chain2:{i}:y1", g1.n)
             x2 = _pick_vertex(cfg.random.seed, f"chain2:{i}:x2", g2.n)
-            plan("T_chain2", _glued_order([g1.n, g2.n]), check_chain2, g1, y1, g2, x2, f"chain({l1}@{y1},{l2}@{x2})", guard)
+            plan("T_chain2", _glued_order([g1.n, g2.n]), check_chain2, g1, y1, g2, x2, f"chain({l1}@{y1},{l2}@{x2})")
 
     # (id, check, instance prefix, parts, samples, seed offset, n_max, vertex tag,
     # one tag suffix per attach vertex: x and y for a chain, x for a bouquet)
@@ -638,22 +627,22 @@ def run_harness(cfg: HarnessConfig = DEFAULT_CONFIG) -> Tuple[List[TheoremReport
                 attach = [_pick_vertex(cfg.random.seed, f"{tag}:{i}:{j}{end}", g.n) for end in ends]
                 chosen.append((g, *attach))
                 labels.append(f"{label}@" + ":".join(map(str, attach)))
-            plan(tid, _glued_order([g.n for g, *_ in chosen]), check, chosen, f"{name}(" + ",".join(labels) + ")", guard)
+            plan(tid, _glued_order([g.n for g, *_ in chosen]), check, chosen, f"{name}(" + ",".join(labels) + ")")
 
     # Orders of the fixed witnesses: F_k has 2k+1 vertices, P_k has k.
     if "R_odot_sharp" in want:
         for k in range(2, 6):
-            plan("R_odot_sharp", 2 * k + 1, check_odot_sharp, k, guard)
+            plan("R_odot_sharp", 2 * k + 1, check_odot_sharp, k)
     if "R_chain_sharp_upper" in want:
-        plan("R_chain_sharp_upper", _glued_order([3, 3]), check_chain_sharp_upper, guard)
+        plan("R_chain_sharp_upper", _glued_order([3, 3]), check_chain_sharp_upper)
     if "R_chain_sharp_lower" in want:
-        plan("R_chain_sharp_lower", _glued_order([9, 11]), check_chain_sharp_lower, guard)
+        plan("R_chain_sharp_lower", _glued_order([9, 11]), check_chain_sharp_lower)
     if "R_bouquet_sharp_lower" in want:
         for k in (2, 3):
-            plan("R_bouquet_sharp_lower", _glued_order([5] * k), check_bouquet_sharp_lower, k, guard)
+            plan("R_bouquet_sharp_lower", _glued_order([5] * k), check_bouquet_sharp_lower, k)
     if "R_bouquet_sharp_upper" in want:
         for k in range(2, 11):
-            plan("R_bouquet_sharp_upper", _glued_order([2] * k), check_bouquet_sharp_upper, k, guard)
+            plan("R_bouquet_sharp_upper", _glued_order([2] * k), check_bouquet_sharp_upper, k)
 
     over: Dict[str, int] = {}
     for ids, order, _ in plans:
@@ -690,7 +679,7 @@ _DOCUMENT = '{\n  "config": %s,\n  "reports": %s,\n  "summary": %s\n}\n'
 
 
 def _row_list(items) -> str:
-    """A row's lhs or rhs as ``to_dict`` and :func:`dumps` write it."""
+    """A row's lhs or rhs, each number through :func:`_num`, as :func:`dumps` writes it."""
     parts = [str(x) if type(x) is int else dumps(_num(x), _ITEM) for x in items]
     return "[" + _ITEM + ("," + _ITEM).join(parts) + _FIELD + "]" if parts else "[]"
 
@@ -715,7 +704,7 @@ def _relations_text(relations: Tuple) -> str:
 
 
 def _row(r: TheoremReport) -> str:
-    """``r.to_dict()`` as :func:`dumps` writes it in the report list.
+    """The report ``r`` as :func:`dumps` writes it in the report list.
 
     ``holds``, ``instance`` and ``theorem_id`` are written directly when
     they are a bool or a str, and through :func:`dumps` otherwise."""
@@ -741,15 +730,16 @@ def report_document(reports: List[TheoremReport], summary: Dict, cfg: HarnessCon
     """Canonical JSON for a harness run (sorted keys, stable ordering).
 
     The text is byte for byte ``json.dumps(doc, sort_keys=True, indent=2)``
-    plus a newline, for ``doc`` the config echo, the reports'
-    ``to_dict()`` and the summary, so ``to_dict`` stays the spec of the
-    bytes.  Each report is written through one fixed %-template: its
+    plus a newline, for ``doc`` the config echo, each report as an object
+    of its seven fields (lhs and rhs through :func:`_num`) and the summary.
+    ``report_dict`` in ``tests/test_theorems.py`` builds that object, the
+    reference the tests compare these bytes against.  Each report is written through one fixed %-template: its
     all-int witnesses through a template cached per key set, its
     relations through text cached per tuple, and a bool ``holds`` or str
     ``instance`` and ``theorem_id`` directly.  Every other value (a
     config, a summary, a witness holding anything but ints) is written by
     :func:`dumps`, the package's one JSON writer (``jsontext``), and no
-    ``to_dict`` dict is built.  The standard library indents only through
+    per-report dict is built.  The standard library indents only through
     its pure-Python encoder, which takes about half as long again on the
     default report.  Anything a report never holds (a float, a
     ``Fraction`` outside lhs and rhs, ``None``, a tuple, a non-str key)

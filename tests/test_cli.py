@@ -174,8 +174,23 @@ class TestGamma:
         validate(payload, "gamma.schema.json")
         assert payload["value"] == 2 and payload["set"] == [0, 3]
 
+    def test_text_format(self, p5, capsys):
+        assert main(["--format", "text", "gamma", p5]) == 0
+        assert capsys.readouterr().out == "gamma = 2\nset = 0 3\n"
+
+    def test_control_character_is_a_parse_error(self, tmp_path, capsys):
+        # \x1c and \x0b are line breaks to str.splitlines(): this once read as the edge (0, 1)
+        path = tmp_path / "ctl.el"
+        path.write_bytes(b"3 1\x1c0 1\x0b")
+        assert main(["gamma", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: line 1: control character '\\x1c'\n")
+
 
 class TestCheck:
+    def test_text_format(self, c4, capsys):
+        assert main(["--format", "text", "check", c4, "--set", "0,1"]) == 0
+        assert capsys.readouterr().out == "super dominating\nwitnesses = 2->1 3->0\n"
+
     def test_c4_pair(self, c4, capsys):
         assert main(["check", c4, "--set", "0,1"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -494,6 +509,26 @@ class TestVerify:
         cfg.write_text(json.dumps({"theorems": ["T1"]}))
         assert main(["verify", "--config", str(cfg)]) == 1
 
+    def test_failing_row_is_counted_and_reported(self, tmp_path, monkeypatch, capsys):
+        # a check that fails is counted per identifier and in total, exits
+        # 1, and its row is still written to the report
+        from superdom import theorems as th
+
+        def failing():
+            return th._report("R_chain_sharp_upper", "made to fail", [(1, "==", 2)])
+
+        monkeypatch.setattr(th, "check_chain_sharp_upper", failing)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"theorems": ["R_chain_sharp_upper", "R_bouquet_sharp_upper"]}))
+        out = tmp_path / "r.json"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+        summary = {"total": 10, "failed": 1, "per_theorem": {
+            "R_bouquet_sharp_upper": {"checked": 9, "failed": 0}, "R_chain_sharp_upper": {"checked": 1, "failed": 1}}}
+        assert json.loads(capsys.readouterr().out) == {"summary": summary}
+        report = json.loads(out.read_text())
+        assert report["summary"] == summary
+        assert [r["instance"] for r in report["reports"] if not r["holds"]] == ["made to fail"]
+
     def test_unwritable_out_fails_before_the_run(self, tmp_path, monkeypatch, capsys):
         from superdom import theorems as th
 
@@ -751,13 +786,35 @@ class TestExitPath:
         exit_code, before, after = proc.stdout.splitlines()[-1].split()
         assert exit_code == "0" and before == after
 
-    def test_failed_buffered_write_exits_120(self, p5):
-        if not os.path.exists("/dev/full"):
-            pytest.skip("no /dev/full")
-        with open("/dev/full", "w") as full:
-            proc = _run_python("-m", "superdom.cli", "gamma", p5, stdout=full)
-        assert proc.returncode == 120
-        assert "No space left on device" in proc.stderr
+    def test_console_entry_prints_what_main_prints(self, p5, capsys):
+        assert main(["gamma", p5]) == 0
+        proc = _run_python("-m", "superdom.cli", "gamma", p5)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
+
+    @pytest.mark.parametrize("command, sink", [
+        ("gamma", "closed-pipe"), ("gamma", "full"), ("verify", "closed-pipe"), ("verify", "full"),
+    ])
+    def test_failed_stdout_write_exits_120(self, p5, tmp_path, command, sink):
+        # one error line and exit 120, whether the write fails in the
+        # command or in the flush after it, and none again at shutdown
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"theorems": ["T2i"], "family_max_order": 4}))
+        argv = ["gamma", p5] if command == "gamma" else ["verify", "--config", str(config)]
+        if sink == "full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            with open("/dev/full", "w") as full:
+                proc = _run_python("-m", "superdom.cli", *argv, stdout=full)
+            errno = 28
+        else:
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                proc = _run_python("-m", "superdom.cli", *argv, stdout=write)
+            finally:
+                os.close(write)
+            errno = 32
+        assert (proc.returncode, proc.stderr) == (120, f"error: writing stdout: [Errno {errno}] {os.strerror(errno)}\n")
 
     @pytest.mark.parametrize("argv", [
         ["gamma", "{file}"],

@@ -173,6 +173,31 @@ class TestEdgeList:
         with pytest.raises(EdgeListError, match=f"^malformed (header|edge line) {re.escape(line)}"):
             read_edge_list(text)
 
+    # the characters str.splitlines() and str.split() also break at
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"], ids=repr)
+    @pytest.mark.parametrize("text, number", [
+        ("3{c}1\n0 1\n", 1), ("3 1\n0{c}1\n", 2), ("3 1{c}0 1\n", 1),
+    ], ids=["header", "edge", "instead-of-newline"])
+    def test_control_characters_are_refused_naming_the_line(self, char, text, number):
+        with pytest.raises(EdgeListError, match=f"^line {number}: control character {re.escape(repr(char))}$"):
+            read_edge_list(text.format(c=char))
+
+    @pytest.mark.parametrize("text, number, char", [
+        ("3 1\n0 1\x00\n", 2, "\x00"),
+        ("3 1\n0 1\x1f\n", 2, "\x1f"),
+        ("3 1\x7f\n0 1\n", 1, "\x7f"),
+        ("3 1\r0 1\r\n", 1, "\r"),  # a \r not ending its line
+        ("3 1\n0 1\r\r\n", 2, "\r"),
+        ("3 1\n0\x851\n", 2, "\x85"),  # not ASCII, so only from the API
+    ], ids=["nul", "unit-separator", "delete", "bare-cr", "double-cr", "next-line"])
+    def test_other_control_characters_are_refused(self, text, number, char):
+        with pytest.raises(EdgeListError, match=f"^line {number}: control character {re.escape(repr(char))}$"):
+            read_edge_list(text)
+
+    def test_line_ends_and_separators(self):
+        # \n or \r\n ends a line, spaces and tabs separate, blank lines are skipped
+        assert read_edge_list("3 2\r\n\t0\t 1 \r\n \t\r\n\n1  2\r\n") == path_graph(3)
+
 
 class TestIsomorphism:
     def test_standard_identities(self):

@@ -47,6 +47,26 @@ from superdom.theorems import (
 )
 
 
+def report_dict(r):
+    """A report as the JSON object ``report_document`` writes for it: the
+    reference its bytes are compared against, lhs and rhs numbers as ints
+    or ``"p/q"`` strings."""
+    def num(x):
+        if isinstance(x, Fraction):
+            return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        return x
+
+    return {
+        "theorem_id": r.theorem_id,
+        "instance": r.instance,
+        "lhs": [num(x) for x in r.lhs],
+        "relations": list(r.relations),
+        "rhs": [num(x) for x in r.rhs],
+        "holds": r.holds,
+        "witness": r.witness,
+    }
+
+
 def _atlas():
     """Every graph on 1..7 vertices, up to isomorphism (networkx's atlas)."""
     nx = pytest.importorskip("networkx")
@@ -144,7 +164,7 @@ class TestVertexOpChecks:
     def test_rows_labels_and_witnesses(self):
         # the report rows at the friendship centre, field by field: one
         # clearing and one contraction feed all three
-        docs = [r.to_dict() for r in check_vertex(friendship_graph(2), 0, "friendship(2)")]
+        docs = [report_dict(r) for r in check_vertex(friendship_graph(2), 0, "friendship(2)")]
         base = {"v": 0, "degree": 4, "base_value": 3}
         assert docs == [
             {"theorem_id": "T_odot", "instance": "odot(friendship(2),v=0)", "lhs": [4],
@@ -261,7 +281,7 @@ class TestSharpness:
         assert check_chain_sharp_upper().holds
 
     def test_chain_sharp_lower(self):
-        assert check_chain_sharp_lower(guard=20).holds
+        assert check_chain_sharp_lower().holds
 
     @pytest.mark.parametrize("k", (2, 3))
     def test_bouquet_sharp_lower(self, k):
@@ -372,7 +392,7 @@ class TestHarness:
         reports, summary = run_harness()
         doc = {
             "config": config_to_dict(DEFAULT_CONFIG),
-            "reports": [r.to_dict() for r in reports],
+            "reports": [report_dict(r) for r in reports],
             "summary": summary,
         }
         assert report_document(reports, summary, DEFAULT_CONFIG) == (
@@ -382,29 +402,27 @@ class TestHarness:
     def test_default_config_selects_everything(self):
         assert set(DEFAULT_CONFIG.theorems) == set(ALL_THEOREM_IDS)
 
-    @pytest.mark.parametrize("tid", [
-        "P_union", "T_chain2", "C_chain_n", "P_bouquet2", "T_bouquet3", "C_bouquet_n",
-        "R_odot_sharp", "R_chain_sharp_upper", "R_chain_sharp_lower",
-        "R_bouquet_sharp_lower", "R_bouquet_sharp_upper",
-    ])
+    @pytest.mark.parametrize("tid", ALL_THEOREM_IDS)
     def test_guard_plan_is_the_largest_order_solved(self, tid, monkeypatch):
-        # the pre-run guard test must admit exactly the runs that finish: at
-        # the largest order the check solves it runs, one below it stops
-        # before any solve and names the check
+        # run_harness's pre-flight is the only guard check of a harness
+        # solve, so it must admit exactly the runs that solve within the
+        # guard: at the largest order the check solves it runs, and one
+        # below it is refused before any solve, by the plan naming the
+        # check or, for checks of the family pool, by family_max_order
         solved = []
-        cert = theorems._sdom_cert
-
-        def spy(g, guard):
-            solved.append(g.n)
-            return cert(g, guard)
-
-        monkeypatch.setattr(theorems, "_sdom_cert", spy)
-        cfg = HarnessConfig(theorems=(tid,), family_max_order=1, random=RandomGrid(count=0))
+        for name in ("_sdom_cert", "_dom_cert"):
+            cert = getattr(theorems, name)
+            monkeypatch.setattr(theorems, name, lambda g, cert=cert: solved.append(g.n) or cert(g))
+        # family_max_order sizes the pool and the closed forms; the other
+        # checks draw neither, so it stays at 1, below every order they solve
+        pooled = {"T1", "P_union"}.union(*theorems._VERTEX_IDS, (f.check_id for f in families.FAMILIES.values()))
+        cfg = HarnessConfig(theorems=(tid,), family_max_order=6 if tid in pooled else 1, random=RandomGrid(count=0))
         assert run_harness(cfg)[1]["failed"] == 0
         largest = max(solved)
         assert run_harness(cfg._replace(guard=largest))[1]["failed"] == 0
         solved.clear()
-        with pytest.raises(ValueError, match=rf"{tid} \(order {largest}\)"):
+        refused = rf"{tid} \(order {largest}\)|family_max_order 6 exceeds the size guard {largest - 1}"
+        with pytest.raises(ValueError, match=refused):
             run_harness(cfg._replace(guard=largest - 1))
         assert solved == []
 
@@ -550,13 +568,13 @@ _reports = st.builds(
 
 
 def _stdlib_document(reports, summary, cfg):
-    doc = {"config": config_to_dict(cfg), "reports": [r.to_dict() for r in reports], "summary": summary}
+    doc = {"config": config_to_dict(cfg), "reports": [report_dict(r) for r in reports], "summary": summary}
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 class TestReportDocument:
     """report_document writes each report through its row template and
-    still equals the stdlib encoding of the to_dict document."""
+    still equals the stdlib encoding of the report_dict document."""
 
     @given(st.lists(_reports, max_size=6), st.dictionaries(st.text(max_size=4), _report_values, max_size=3))
     def test_equals_the_stdlib_encoder(self, reports, summary):
