@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "graph": (
-        "Graph", "VertexSet", "EdgeListError", "SizeGuardError",
+        "Graph", "EdgeListError", "SizeGuardError",
         "read_edge_list", "write_edge_list", "is_isomorphic",
     ),
     "families": (

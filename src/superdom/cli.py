@@ -5,9 +5,10 @@ mechanism.  Exit codes: 0 success, 1 check/bound violation, 2 usage or
 parse error, 3 size guard exceeded, 120 stdout could not be written.
 JSON output is emitted with sorted keys so identical invocations are
 byte-identical.  Each command returns its exit code and its stdout text,
-and :func:`main` alone writes and flushes that text, so a failed write
-(a closed pipe, a full device) is told apart from a file the command
-could not read or open, which stays a usage error.
+and :func:`main` alone writes and flushes that text, every byte of it
+even when stdout is unbuffered, so a failed write (a closed pipe, a full
+device) is told apart from a file the command could not read or open,
+which stays a usage error.
 
 The command line is stated once, in ``OPTIONS`` and ``COMMANDS``, and
 read in one of two ways.  A plain spelling, the one every solve and the
@@ -403,6 +404,21 @@ def parse_args(argv: List[str]) -> SimpleNamespace:
     return args
 
 
+def _write_stdout(text: str) -> None:
+    """Write all of ``text`` to stdout through its binary layer.  Under
+    ``python3 -u`` that layer is a raw file, which may take only part of a
+    write and say so only in the count it returns (the text layer would
+    drop the rest silently), so the rest is written again until it is
+    taken or the write fails.  What the text layer still holds is flushed
+    first, so it stays in front."""
+    out = sys.stdout
+    out.flush()
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        data = data[out.buffer.write(data):]
+    out.buffer.flush()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
@@ -414,8 +430,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        _write_stdout(text)
     except OSError as exc:
         print(f"error: writing stdout: {exc}", file=sys.stderr)
         return EXIT_WRITE

@@ -3,18 +3,20 @@
 Vertices are dense integer indices 0..n-1 and adjacency is stored as one
 integer bitmask per vertex, which keeps the neighbourhood algebra (unions,
 intersections, complements) cheap for the exact search routines built on
-top.  Graphs and vertex sets are value types: construction validates the
-simple-graph invariants, nothing mutates afterwards, and both hash and
-compare structurally, so they can be shared across workers freely.  A
-graph derived from a valid one by mask algebra (the vertex surgeries and
-compositions of ``ops``) is built by the private ``Graph._of``, which
-takes the masks as they are and checks nothing again.  The solvers build
-no graph at all: they search each component in place on ``adj``.
+top.  Graphs are value types: construction validates the simple-graph
+invariants, nothing mutates afterwards, and they hash and compare
+structurally.  A vertex set leaves the package as the ascending tuple of
+its vertices (a component, a neighbourhood, a certificate's set), which
+the private ``_members`` expands from its mask.  A graph derived from a
+valid one by mask algebra (the vertex surgeries and compositions of
+``ops``) is built by the private ``Graph._of``, which takes the masks as
+they are and checks nothing again.  The solvers build no graph at all:
+they search each component in place on ``adj``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 DEFAULT_ISO_GUARD = 12
 # A graph's bitmasks take up to n*n/8 bytes, so 2**14 vertices cap them at
@@ -37,63 +39,14 @@ class EdgeListError(ValueError):
     """Malformed edge-list text."""
 
 
-class VertexSet:
-    """A subset of the vertices 0..owner_n-1 of a fixed graph.
-
-    ``owner_n`` pins the vertex range so that complements are well defined;
-    operations mixing sets with mismatched owners are rejected by callers.
-    Membership is a bitmask, iteration yields ascending indices.
-    """
-
-    __slots__ = ("owner_n", "mask")
-
-    def __init__(self, owner_n: int, members: Iterable[int] = ()):
-        if owner_n < 0:
-            raise ValueError("owner_n must be non-negative")
-        mask = 0
-        for v in members:
-            if not 0 <= v < owner_n:
-                raise IndexError(f"vertex {v} out of range 0..{owner_n - 1}")
-            mask |= 1 << v
-        self.owner_n = owner_n
-        self.mask = mask
-
-    @classmethod
-    def from_mask(cls, owner_n: int, mask: int) -> "VertexSet":
-        if mask < 0 or mask >> owner_n:
-            raise IndexError(f"mask {mask:#x} has bits outside 0..{owner_n - 1}")
-        s = cls.__new__(cls)
-        s.owner_n = owner_n
-        s.mask = mask
-        return s
-
-    def complement(self) -> "VertexSet":
-        full = (1 << self.owner_n) - 1
-        return VertexSet.from_mask(self.owner_n, full ^ self.mask)
-
-    def __contains__(self, v: int) -> bool:
-        return 0 <= v < self.owner_n and (self.mask >> v) & 1 == 1
-
-    def __iter__(self) -> Iterator[int]:
-        m = self.mask
-        while m:
-            b = m & -m
-            yield b.bit_length() - 1
-            m ^= b
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VertexSet):
-            return NotImplemented
-        return self.owner_n == other.owner_n and self.mask == other.mask
-
-    def __hash__(self) -> int:
-        return hash((self.owner_n, self.mask))
-
-    def __repr__(self) -> str:
-        return f"VertexSet({self.owner_n}, {list(self)})"
+def _members(mask: int) -> Tuple[int, ...]:
+    """The vertices of ``mask`` as an ascending tuple."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 class Graph:
@@ -143,10 +96,10 @@ class Graph:
         if not 0 <= v < self.n:
             raise IndexError(f"vertex {v} out of range 0..{self.n - 1}")
 
-    def neighbors(self, v: int) -> VertexSet:
-        """Open neighbourhood of ``v``."""
+    def neighbors(self, v: int) -> Tuple[int, ...]:
+        """Open neighbourhood of ``v`` as an ascending tuple."""
         self._check_vertex(v)
-        return VertexSet.from_mask(self.n, self.adj[v])
+        return _members(self.adj[v])
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
@@ -154,14 +107,7 @@ class Graph:
 
     def edges(self) -> List[Tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, sorted."""
-        out = []
-        for u in range(self.n):
-            rest = self.adj[u] >> (u + 1) << (u + 1)
-            while rest:
-                low = rest & -rest
-                out.append((u, low.bit_length() - 1))
-                rest ^= low
-        return out
+        return [(u, v) for u in range(self.n) for v in _members(self.adj[u] >> (u + 1) << (u + 1))]
 
     def components(self) -> List[Tuple[int, ...]]:
         """Connected components as ascending vertex tuples, ordered by minimum
@@ -184,7 +130,7 @@ class Graph:
             masks.append(comp)
         if len(masks) == 1:
             return [tuple(range(self.n))]
-        return [tuple(VertexSet.from_mask(self.n, comp)) for comp in masks]
+        return [_members(comp) for comp in masks]
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1

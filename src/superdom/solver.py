@@ -66,31 +66,30 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, NamedTuple, Optional, Tuple, Union
 
-from .graph import Graph, SizeGuardError, VertexSet
+from .graph import Graph, SizeGuardError, _members
 
 DEFAULT_GUARD = 24
 _TWO_PASS_ORDER = 12  # components of this order and up are searched in two passes
 SP_SEARCH = "exact super domination search"
 DOM_SEARCH = "exact domination search"
 
-SetLike = Union[VertexSet, Iterable[int]]
-
 
 class DomCertificate(NamedTuple):
-    """A minimum dominating set."""
+    """A minimum dominating set, ``vertices`` in ascending order."""
 
-    vertices: VertexSet
+    vertices: Tuple[int, ...]
     value: int
 
 
 class SuperDomCertificate(NamedTuple):
     """A minimum super dominating set plus the private witness map.
 
-    ``witnesses[u]`` is the in-set vertex whose only outside neighbour is
-    u, for every u outside the set.
+    ``vertices`` is the set in ascending order, as :meth:`payload` prints
+    it; ``witnesses[u]`` is the in-set vertex whose only outside neighbour
+    is u, for every u outside the set.
     """
 
-    vertices: VertexSet
+    vertices: Tuple[int, ...]
     witnesses: Dict[int, int]
     value: int
 
@@ -104,49 +103,45 @@ def _witness_payload(witnesses: Dict[int, int]) -> Dict[str, int]:
     return {str(u): v for u, v in sorted(witnesses.items())}
 
 
-def _as_vertex_set(g: Graph, s: SetLike) -> VertexSet:
-    if isinstance(s, VertexSet):
-        if s.owner_n != g.n:
-            raise ValueError(
-                f"vertex set indexes a graph of order {s.owner_n}, not {g.n}"
-            )
-        return s
-    return VertexSet(g.n, s)
+def _mask(g: Graph, s: Iterable[int]) -> int:
+    """The mask of the vertices ``s`` of ``g``; a vertex outside 0..n-1 raises IndexError."""
+    mask = 0
+    for v in s:
+        g._check_vertex(v)
+        mask |= 1 << v
+    return mask
 
 
-def is_dominating(g: Graph, s: SetLike) -> bool:
+def is_dominating(g: Graph, s: Iterable[int]) -> bool:
     """True iff every vertex outside ``s`` has a neighbour in ``s``."""
-    s = _as_vertex_set(g, s)
-    outside = s.complement()
-    return all(g.adj[u] & s.mask for u in outside)
+    inside = _mask(g, s)
+    return all(g.adj[u] & inside for u in range(g.n) if not inside >> u & 1)
 
 
-def _witness_scan(g: Graph, s: SetLike) -> Union[Dict[int, int], str]:
+def _witness_scan(g: Graph, s: Iterable[int]) -> Union[Dict[int, int], str]:
     """The witness map of ``s``, or the reason its smallest failing outside
     vertex disqualifies it."""
-    s = _as_vertex_set(g, s)
-    outside = s.mask ^ ((1 << g.n) - 1)
+    return _witnesses(g, _mask(g, s))
+
+
+def _witnesses(g: Graph, inside: int) -> Union[Dict[int, int], str]:
+    """:func:`_witness_scan` of the set with mask ``inside``."""
+    outside = inside ^ ((1 << g.n) - 1)
     witnesses: Dict[int, int] = {}
-    rest = outside
-    while rest:
-        ub = rest & -rest
-        u = ub.bit_length() - 1
-        rest ^= ub
-        cand = g.adj[u] & s.mask
+    for u in _members(outside):
+        cand = g.adj[u] & inside
         if not cand:
             return f"u={u}: not dominated"
-        while cand:
-            vb = cand & -cand
-            cand ^= vb
-            if g.adj[vb.bit_length() - 1] & outside == ub:
-                witnesses[u] = vb.bit_length() - 1
+        for v in _members(cand):
+            if g.adj[v] & outside == 1 << u:
+                witnesses[u] = v
                 break
         else:
             return f"u={u}: no witness"
     return witnesses
 
 
-def super_domination_witnesses(g: Graph, s: SetLike) -> Optional[Dict[int, int]]:
+def super_domination_witnesses(g: Graph, s: Iterable[int]) -> Optional[Dict[int, int]]:
     """Witness map for ``s`` if it super dominates, else None.
 
     Each outside vertex u maps to its smallest witness: a v in s adjacent
@@ -157,12 +152,12 @@ def super_domination_witnesses(g: Graph, s: SetLike) -> Optional[Dict[int, int]]
     return None if isinstance(found, str) else found
 
 
-def is_super_dominating(g: Graph, s: SetLike) -> bool:
+def is_super_dominating(g: Graph, s: Iterable[int]) -> bool:
     """True iff ``s`` is a super dominating set of ``g``."""
     return super_domination_witnesses(g, s) is not None
 
 
-def first_violation(g: Graph, s: SetLike) -> Optional[str]:
+def first_violation(g: Graph, s: Iterable[int]) -> Optional[str]:
     """Human-readable reason the smallest failing outside vertex disqualifies ``s``."""
     found = _witness_scan(g, s)
     return found if isinstance(found, str) else None
@@ -306,16 +301,8 @@ def _max_complement(adj: Tuple[int, ...], comp: Tuple[int, ...]) -> int:
         return _best_complement(adj, comp)
     order = sorted(comp, key=lambda v: (-adj[v].bit_count(), v))
     label = dict(zip(order, range(len(order))))
-    relabelled = []
-    for v in order:
-        mask = 0
-        rest = adj[v]
-        while rest:
-            ub = rest & -rest
-            rest ^= ub
-            mask |= 1 << label[ub.bit_length() - 1]
-        relabelled.append(mask)
-    value = _best_complement(tuple(relabelled), tuple(range(len(order)))).bit_count()
+    relabelled = tuple(sum(1 << label[u] for u in _members(adj[v])) for v in order)
+    value = _best_complement(relabelled, tuple(range(len(order)))).bit_count()
     found = _best_complement(adj, comp, value - 1, value)
     if found.bit_count() != value:
         raise RuntimeError(f"super domination search lost the value {value} in its lexicographic pass")
@@ -381,17 +368,17 @@ def gamma_sp(g: Graph, guard: int = DEFAULT_GUARD) -> SuperDomCertificate:
     can only be dominated from inside, so edgeless graphs (including K_1)
     come back with value n.
     """
-    outside = _solve(g, guard, SP_SEARCH, _max_complement)
-    s = VertexSet.from_mask(g.n, outside ^ ((1 << g.n) - 1))
-    witnesses = super_domination_witnesses(g, s)
-    if witnesses is None:
+    inside = _solve(g, guard, SP_SEARCH, _max_complement) ^ ((1 << g.n) - 1)
+    witnesses = _witnesses(g, inside)
+    if isinstance(witnesses, str):
         raise RuntimeError("super domination search returned an invalid complement")
+    s = _members(inside)
     return SuperDomCertificate(s, witnesses, len(s))
 
 
 def gamma(g: Graph, guard: int = DEFAULT_GUARD) -> DomCertificate:
     """Minimum dominating set of ``g`` (lexicographically smallest one)."""
-    s = VertexSet.from_mask(g.n, _solve(g, guard, DOM_SEARCH, _min_dominating))
+    s = _members(_solve(g, guard, DOM_SEARCH, _min_dominating))
     if not is_dominating(g, s):
         raise RuntimeError("domination search returned a set that does not dominate")
     return DomCertificate(s, len(s))

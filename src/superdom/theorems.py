@@ -262,8 +262,8 @@ def check_chain2(
     total = sum(values)
     witness: Dict = {"part_values": values, "merged_vertex": z}
 
-    out1 = c1.vertices.complement().mask
-    out2 = c2.vertices.complement().mask
+    out1 = sum(1 << u for u in range(g1.n) if u not in c1.vertices)
+    out2 = sum(1 << u for u in range(g2.n) if u not in c2.vertices)
     private1 = g1.adj[y1] & out1
     private2 = g2.adj[x2] & out2
     case_applies = (

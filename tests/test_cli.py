@@ -219,6 +219,11 @@ class TestCheck:
         assert main(["check", c4, "--set", "0,9"]) == 2
         assert main(["check", c4, "--set=-1,2"]) == 2
 
+    def test_out_of_range_vertex_is_named(self, tmp_path, capsys):
+        p18 = write_graph_file(tmp_path, "p18.el", "18 17\n" + "".join(f"{v} {v + 1}\n" for v in range(17)))
+        assert main(["check", p18, "--set", "0,18"]) == 2
+        assert capsys.readouterr() == ("", "error: vertex 18 out of range 0..17\n")
+
     def test_duplicate_index(self, c4, capsys):
         assert main(["check", c4, "--set", "0,0,2"]) == 2
         assert "--set lists vertex 0 more than once" in capsys.readouterr().err
@@ -793,6 +798,7 @@ class TestExitPath:
 
     @pytest.mark.parametrize("command, sink", [
         ("gamma", "closed-pipe"), ("gamma", "full"), ("verify", "closed-pipe"), ("verify", "full"),
+        ("verify", "closed-pipe-unbuffered"),
     ])
     def test_failed_stdout_write_exits_120(self, p5, tmp_path, command, sink):
         # one error line and exit 120, whether the write fails in the
@@ -806,13 +812,26 @@ class TestExitPath:
             with open("/dev/full", "w") as full:
                 proc = _run_python("-m", "superdom.cli", *argv, stdout=full)
             errno = 28
-        else:
+        elif sink == "closed-pipe":
             read, write = os.pipe()
             os.close(read)
             try:
                 proc = _run_python("-m", "superdom.cli", *argv, stdout=write)
             finally:
                 os.close(write)
+            errno = 32
+        else:
+            # unbuffered, stdout is a raw file: the reader takes one byte of
+            # the 1.4 MB default report and leaves while the write waits on
+            # the full pipe, so that write comes back short, not failed
+            env = {**os.environ, "PYTHONUNBUFFERED": "1"}
+            with open(tmp_path / "stderr", "w+") as err:
+                child = subprocess.Popen([sys.executable, "-m", "superdom.cli", "verify"], stdout=subprocess.PIPE, stderr=err, env=env)
+                assert child.stdout.read(1) == b"{"
+                child.stdout.close()
+                returncode = child.wait(timeout=60)
+                err.seek(0)
+                proc = subprocess.CompletedProcess(child.args, returncode, None, err.read())
             errno = 32
         assert (proc.returncode, proc.stderr) == (120, f"error: writing stdout: [Errno {errno}] {os.strerror(errno)}\n")
 

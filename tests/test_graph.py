@@ -10,7 +10,6 @@ from superdom import (
     EdgeListError,
     Graph,
     SizeGuardError,
-    VertexSet,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -71,6 +70,11 @@ class TestQueries:
         assert set(complete_graph(4).neighbors(0)) == {1, 2, 3}
         assert set(star_graph(5).neighbors(0)) == {1, 2, 3, 4, 5}
 
+    @given(graphs())
+    def test_neighbors_are_an_ascending_tuple(self, g):
+        for v in range(g.n):
+            assert g.neighbors(v) == tuple(u for u in range(g.n) if g.adj[v] >> u & 1)
+
     def test_degree_examples(self):
         assert friendship_graph(3).degree(0) == 6
         assert path_graph(2).degree(0) == 1
@@ -98,24 +102,6 @@ class TestQueries:
                 g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density])
                 scan = [(u, v) for u in range(n) for v in range(u + 1, n) if g.adj[u] >> v & 1]
                 assert g.edges() == scan and len(scan) == g.m
-
-
-class TestVertexSet:
-    def test_membership_and_order(self):
-        s = VertexSet(6, [4, 0, 2])
-        assert list(s) == [0, 2, 4]
-        assert 2 in s and 3 not in s
-        assert len(s) == 3
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            VertexSet(3, [3])
-
-    @given(graphs(max_n=10))
-    def test_complement_involution(self, g):
-        s = VertexSet(g.n, range(0, g.n, 2))
-        assert s.complement().complement() == s
-        assert len(s) + len(s.complement()) == g.n
 
 
 class TestEdgeList:
