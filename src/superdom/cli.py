@@ -36,22 +36,13 @@ thus never loads the generators, the compositions or the harness.
 file above it is refused before its graph is built.
 
 ``console_main``, the entry of ``python3 -m superdom.cli`` and of the
-``superdom`` script, freezes the heap once ``main`` has returned: the
-process is about to exit, and the collections of interpreter shutdown
-would otherwise walk every object start-up and the command left, which
-takes longer than a small solve.  After a failed write it first points
-stdout at ``os.devnull``, so shutdown's flush of what is still buffered
-prints no second error.  Shutdown still runs ``atexit`` and frees by
-reference count.  ``main`` does not freeze, so a caller that runs it
-in-process, tests and the tracer among them, keeps a heap the collector
-still walks.
-Every file the commands open is closed explicitly, never left to the
-collector.
+``superdom`` script, is the process's one exit; ``main`` returns, so a
+caller that runs it in-process, tests and the tracer among them, keeps
+its interpreter.
 """
 
 from __future__ import annotations
 
-import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -119,7 +110,10 @@ def cmd_gen(args) -> Tuple[int, str]:
     if args.family == "gnp_random":
         if len(params) != 2:
             raise ValueError("gnp_random takes: n p (p as num/den); seed via --seed")
-        p = families._as_probability(params[1])
+        try:
+            p = families._as_probability(params[1])
+        except ValueError as exc:
+            raise ValueError(f"gen gnp_random: {exc}") from None
         params = (_int(params[0], "gen gnp_random: parameter"), p.numerator, p.denominator, args.seed)
     elif args.family in families.FAMILIES:  # build_family refuses any other kind
         params = tuple(_int(x, f"gen {args.family}: parameter") for x in params)
@@ -405,18 +399,34 @@ def parse_args(argv: List[str]) -> SimpleNamespace:
 
 
 def _write_stdout(text: str) -> None:
-    """Write all of ``text`` to stdout through its binary layer.  Under
-    ``python3 -u`` that layer is a raw file, which may take only part of a
-    write and say so only in the count it returns (the text layer would
-    drop the rest silently), so the rest is written again until it is
-    taken or the write fails.  What the text layer still holds is flushed
-    first, so it stays in front."""
+    """Write all of ``text`` to stdout, through its binary layer when it
+    has one.  Under ``python3 -u`` that layer is a raw file, which may take
+    only part of a write and say so only in the count it returns (the text
+    layer would drop the rest silently), so the rest is written again until
+    it is taken or the write fails.  What the text layer still holds is
+    flushed first, so it stays in front.  A text-only stream, such as an
+    ``io.StringIO`` under ``contextlib.redirect_stdout``, takes the text."""
     out = sys.stdout
+    binary = getattr(out, "buffer", None)
+    if binary is None:
+        out.write(text)
+    else:
+        out.flush()
+        data = memoryview(text.encode(out.encoding, out.errors))
+        while data:
+            data = data[binary.write(data):]
     out.flush()
-    data = memoryview(text.encode(out.encoding, out.errors))
-    while data:
-        data = data[out.buffer.write(data):]
-    out.buffer.flush()
+
+
+def _flushed(text: str, code: int) -> int:
+    """``code`` once ``text`` is written to stdout, or ``EXIT_WRITE`` with one
+    error line if the write fails."""
+    try:
+        _write_stdout(text)
+    except OSError as exc:
+        print(f"error: writing stdout: {exc}", file=sys.stderr)
+        return EXIT_WRITE
+    return code
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -429,22 +439,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (EdgeListError, ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        _write_stdout(text)
-    except OSError as exc:
-        print(f"error: writing stdout: {exc}", file=sys.stderr)
-        return EXIT_WRITE
-    return code
+    return _flushed(text, code)
 
 
 def console_main() -> None:
-    code = main()
-    if code == EXIT_WRITE:
-        # stdout is gone: point it at os.devnull, so shutdown's flush of
-        # what is still buffered cannot fail and print a second error
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    gc.freeze()  # the process exits next: spare shutdown's collections the whole heap
-    sys.exit(code)
+    """Run ``main`` on ``sys.argv`` and leave through ``os._exit`` with its
+    exit code.  Argparse ends -h and usage errors by raising ``SystemExit``;
+    that code is taken too, once what -h printed is flushed as ``main``
+    flushes its own output.  Nothing is flushed, closed or collected at
+    exit and no ``atexit`` hook runs, so every file the commands open is
+    closed explicitly, never left to the collector."""
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = _flushed("", exc.code)
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -96,6 +96,8 @@ def _as_probability(p: RationalLike) -> Fraction:
         p = Fraction(*p) if isinstance(p, tuple) else Fraction(p)
     except ZeroDivisionError:
         raise ValueError(f"edge probability {p!r} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"edge probability {p!r} is not a fraction") from None
     if not 0 <= p <= 1:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     return p

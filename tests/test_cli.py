@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -304,10 +306,11 @@ class TestOp:
 
 @pytest.mark.parametrize("argv, message", [
     (["gen", "path", "x"], "gen path: parameter 'x' is not an integer"),
+    (["gen", "gnp_random", "5", "x"], "gen gnp_random: edge probability 'x' is not a fraction"),
     (["op", "odot", "{file}", "x"], "op odot: vertex 'x' is not an integer"),
     (["op", "bouquet", "{file}:x"], "op bouquet: attach vertex 'x' is not an integer"),
     (["check", "{file}", "--set", "0,,2"], "check: --set vertex '' is not an integer"),
-], ids=["gen", "odot", "bouquet", "check"])
+], ids=["gen", "gnp", "odot", "bouquet", "check"])
 def test_non_integer_operand_names_command_and_operand(p5, argv, message, capsys):
     assert main([a.format(file=p5) for a in argv]) == 2
     captured = capsys.readouterr()
@@ -422,6 +425,7 @@ class TestVerify:
         ({"theorems": ["T1"], "guard": 2.9}, "guard must be an integer, got 2.9"),
         ({"theorems": ["T1"], "random": {"p": [0.5]}}, "random.p: edge probability must be"),
         ({"theorems": ["T1"], "random": {"p": ["1/0"]}}, "random.p: edge probability '1/0' has a zero denominator"),
+        ({"theorems": ["T1"], "random": {"p": ["x"]}}, "random.p: edge probability 'x' is not a fraction"),
         ([], "config must be a JSON object, got list"),
         ("x", "config must be a JSON object, got str"),
         ({"theorems": ["T1"], "random": []}, "random must be a JSON object, got list"),
@@ -430,7 +434,7 @@ class TestVerify:
          "random.n_min must be >= 1, got 0"),
     ], ids=["n_min_above_n_max", "negative_count", "empty_p", "theorems_not_list",
             "family_order_above_guard", "n_max_above_guard", "null_count", "string_count",
-            "bool_union_pairs", "float_guard", "float_p", "zero_denominator_p",
+            "bool_union_pairs", "float_guard", "float_p", "zero_denominator_p", "text_p",
             "top_level_list", "top_level_string", "random_not_object", "zero_vertex_grid"])
     def test_config_faults_are_usage_errors(self, config, message, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -767,29 +771,76 @@ def _run_python(*args, stdout=subprocess.PIPE):
 
 
 class TestExitPath:
-    """``console_main`` freezes the heap before the process exits; ``main`` does not,
-    and no command leaves a file for the collector to close."""
+    """``console_main`` is the process's one exit and prints, writes and exits
+    as ``main`` does; no command leaves a file for the collector to close."""
 
-    def test_console_main_freezes_before_exit(self, p5):
-        code = (
-            "import atexit, gc, sys\nfrom superdom import cli\n"
-            "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
-            f"sys.argv = ['superdom', 'gamma', {p5!r}]\ncli.console_main()"
+    @pytest.mark.parametrize("argv, code", [
+        (["gamma", "{file}"], 0),
+        (["check", "{file}", "--set", "0"], 1),
+        (["gamma", "{file}", "--nope"], 2),
+        (["--guard-n", "3", "gamma", "{file}"], 3),
+        (["gamma", "{file}"], 120),
+        (["-h"], 0),
+    ], ids=["ok", "violation", "usage", "guard", "full", "help"])
+    def test_console_main_is_the_one_exit(self, p5, argv, code, capsys):
+        # the process leaves through os._exit, so the atexit hook never
+        # prints, and stdout, stderr and code are main's (SystemExit's for
+        # argparse); "full" writes stdout to a full device in both
+        argv = [a.format(file=p5) for a in argv]
+        script = (
+            "import atexit, sys\nfrom superdom import cli\n"
+            "atexit.register(print, 'atexit hook ran', file=sys.stderr)\n"
+            f"sys.argv = ['superdom', *{argv!r}]\ncli.console_main()"
         )
-        proc = _run_python("-c", code)
-        assert proc.returncode == 0, proc.stderr
-        label, count = proc.stdout.splitlines()[-1].split()
-        assert label == "frozen" and int(count) > 0
+        with contextlib.ExitStack() as stack:
+            if code == 120:
+                if not os.path.exists("/dev/full"):
+                    pytest.skip("no /dev/full")
+                with open("/dev/full", "w") as full:
+                    proc = _run_python("-c", script, stdout=full)
+                # unbuffered, so the failed write leaves nothing to flush at close
+                full = io.TextIOWrapper(open("/dev/full", "wb", buffering=0), encoding="utf-8", write_through=True)
+                stack.enter_context(contextlib.redirect_stdout(stack.enter_context(full)))
+            else:
+                proc = _run_python("-c", script)
+            try:
+                returned = main(argv)
+            except SystemExit as exc:
+                returned = exc.code
+        captured = capsys.readouterr()
+        assert returned == code
+        assert (proc.returncode, proc.stdout or "", proc.stderr) == (code, captured.out, captured.err)
 
-    def test_main_leaves_the_heap_unfrozen(self, p5):
-        code = (
-            "import gc\nfrom superdom import cli\nbefore = gc.get_freeze_count()\n"
-            f"code = cli.main(['gamma', {p5!r}])\nprint(code, before, gc.get_freeze_count())"
-        )
-        proc = _run_python("-c", code)
-        assert proc.returncode == 0, proc.stderr
-        exit_code, before, after = proc.stdout.splitlines()[-1].split()
-        assert exit_code == "0" and before == after
+    @pytest.mark.parametrize("argv", [
+        ["gen", "path", "5", "--out", "{out}"],
+        ["op", "odot", "{file}", "1", "--out", "{out}"],
+        ["verify", "--config", "{config}", "--out", "{out}"],
+    ], ids=lambda a: a[0])
+    def test_console_main_writes_out_files_as_main_does(self, p5, tmp_path, argv, capsys):
+        # nothing is flushed at exit, so a file must be whole when the command returns
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"theorems": ["T2i"], "family_max_order": 4}))
+        proc = _run_python("-m", "superdom.cli", *[a.format(file=p5, config=config, out=tmp_path / "child") for a in argv])
+        assert main([a.format(file=p5, config=config, out=tmp_path / "in_process") for a in argv]) == 0
+        captured = capsys.readouterr()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, captured.out, captured.err)
+        assert (tmp_path / "child").read_bytes() == (tmp_path / "in_process").read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["gamma", "{file}"],
+        ["verify", "--config", "{config}", "--out", "{out}"],
+    ], ids=lambda a: a[0])
+    def test_main_writes_to_a_text_only_stdout(self, p5, tmp_path, argv):
+        # an io.StringIO has no binary layer and no encoding: main writes the text to it
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"theorems": ["T2i"], "family_max_order": 4}))
+        proc = subprocess.run([sys.executable, "-m", "superdom.cli", *[a.format(file=p5, config=config, out=tmp_path / "child") for a in argv]],
+                              capture_output=True, timeout=60)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main([a.format(file=p5, config=config, out=tmp_path / "in_process") for a in argv]) == proc.returncode == 0
+        assert out.getvalue().encode() == proc.stdout
+        if argv[0] == "verify":
+            assert (tmp_path / "child").read_bytes() == (tmp_path / "in_process").read_bytes()
 
     def test_console_entry_prints_what_main_prints(self, p5, capsys):
         assert main(["gamma", p5]) == 0
@@ -798,14 +849,14 @@ class TestExitPath:
 
     @pytest.mark.parametrize("command, sink", [
         ("gamma", "closed-pipe"), ("gamma", "full"), ("verify", "closed-pipe"), ("verify", "full"),
-        ("verify", "closed-pipe-unbuffered"),
+        ("verify", "closed-pipe-unbuffered"), ("help", "full"),
     ])
     def test_failed_stdout_write_exits_120(self, p5, tmp_path, command, sink):
         # one error line and exit 120, whether the write fails in the
-        # command or in the flush after it, and none again at shutdown
+        # command or in the flush after it, and none again as the process exits
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"theorems": ["T2i"], "family_max_order": 4}))
-        argv = ["gamma", p5] if command == "gamma" else ["verify", "--config", str(config)]
+        argv = {"gamma": ["gamma", p5], "verify": ["verify", "--config", str(config)], "help": ["-h"]}[command]
         if sink == "full":
             if not os.path.exists("/dev/full"):
                 pytest.skip("no /dev/full")
