@@ -365,6 +365,17 @@ def _parser():
 
     unwrapped = partial(argparse.HelpFormatter, width=1 << 16)  # usage and -h never wrap
 
+    class Parser(argparse.ArgumentParser):
+        def _print_message(self, message, file=None):
+            """Write -h to stdout as ``main`` writes a command's output:
+            argparse's own write drops an error, so a failed one exits
+            ``EXIT_WRITE`` with one error line here."""
+            if file is not sys.stdout:
+                return super()._print_message(message, file)
+            code = _flushed(message, EXIT_OK)
+            if code:
+                self.exit(code)
+
     def add(parser, operands, options):
         for name, arity, choices, text in operands:
             choices = _Listed(choices()) if callable(choices) else choices
@@ -374,8 +385,8 @@ def _parser():
                                 default=default, required=required, help=text)
         return parser
 
-    parser = add(argparse.ArgumentParser(prog="superdom", formatter_class=unwrapped,
-                                         description="Exact super domination solver and bound verification toolkit."),
+    parser = add(Parser(prog="superdom", formatter_class=unwrapped,
+                        description="Exact super domination solver and bound verification toolkit."),
                  [], OPTIONS)
     commands = parser.add_subparsers(dest="command", required=True)
     for command, (text, operands, options) in COMMANDS.items():
@@ -445,14 +456,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 def console_main() -> None:
     """Run ``main`` on ``sys.argv`` and leave through ``os._exit`` with its
     exit code.  Argparse ends -h and usage errors by raising ``SystemExit``;
-    that code is taken too, once what -h printed is flushed as ``main``
-    flushes its own output.  Nothing is flushed, closed or collected at
-    exit and no ``atexit`` hook runs, so every file the commands open is
-    closed explicitly, never left to the collector."""
+    that code is taken too, -h having written its text as ``main`` writes
+    its own output.  Nothing is flushed, closed or collected at exit and
+    no ``atexit`` hook runs, so every file the commands open is closed
+    explicitly, never left to the collector."""
     try:
         code = main()
     except SystemExit as exc:
-        code = _flushed("", exc.code)
+        code = exc.code
     sys.stderr.flush()
     os._exit(code)
 

@@ -2,27 +2,39 @@
 
 :func:`dumps` writes what ``json.dumps(value, sort_keys=True, indent=2)``
 writes, for the only types the package prints: dicts with str keys,
-lists, str, bool and int.  Anything else is a ``TypeError``, so no other
-bytes are silently written.  :func:`quote` writes a string as it is when
-it needs no escape and leaves every other string to the standard
-library, imported only then; nothing a solve prints needs escaping, so a
-solve never loads ``json``.
+lists, str, bool and int, an int or str subclass written as its value.
+Anything else is a ``TypeError``, so no other bytes are silently
+written.  :func:`quote` writes a string as it is when it needs no escape
+and leaves every other string to the standard library, imported only
+then; nothing a solve prints needs escaping, so a solve never loads
+``json``.
 """
+
+from functools import lru_cache
 
 
 def quote(text: str) -> str:
     """``text`` as a JSON string literal, escaped as ``json`` escapes it."""
     if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
-        return f'"{text}"'
+        return '"' + text + '"'  # not an f-string, which would call a str subclass's __format__
     from json.encoder import encode_basestring_ascii
 
     return encode_basestring_ascii(text)
+
+
+# a report repeats a handful of keys thousands of times
+_key = lru_cache(maxsize=1024)(quote)
 
 
 def dumps(value, pad: str = "\n") -> str:
     """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it
     when nested at ``pad``.  Each level joins its own items, so no list of
     every token is ever held."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return quote(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -37,7 +49,7 @@ def dumps(value, pad: str = "\n") -> str:
         for key in sorted(value):
             if not isinstance(key, str):
                 raise TypeError(f"JSON key {key!r} is not a str")
-            items.append(quote(key) + ": " + dumps(value[key], inner))
+            items.append(_key(key) + ": " + dumps(value[key], inner))
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(value, list):
         if not value:

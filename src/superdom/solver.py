@@ -177,11 +177,13 @@ def _best_complement(adj: Tuple[int, ...], comp: Tuple[int, ...], floor: int = 0
     vertex outside P witnesses its prefix neighbour exactly when it is in
     ``one``, so P is a valid complement iff every member of P has a
     neighbour in ``one``.  Adding a vertex moves its outside neighbours up
-    one count, and only the new vertex and the members whose witnesses
-    just left ``one`` (the prefix neighbours of the new vertex and of the
-    vertices promoted to ``many``) need rechecking.  The test is exact and
-    valid complements are hereditary, so a failing prefix has no valid
-    completion and its whole subtree is cut.
+    one count, and only the members whose witnesses just left ``one`` (the
+    prefix neighbours of the new vertex and of the vertices promoted to
+    ``many``) need rechecking: the new vertex is a candidate, so it has a
+    neighbour in the zero pool (below), which moves into ``one`` and
+    witnesses it.  The test is exact and valid complements are
+    hereditary, so a failing prefix has no valid completion and its whole
+    subtree is cut.
 
     The best so far starts at size ``floor`` with no set.  Every prefix
     reached is valid, and one strictly larger than the best replaces it;
@@ -223,8 +225,6 @@ def _best_complement(adj: Tuple[int, ...], comp: Tuple[int, ...], floor: int = 0
     """
     if cap is None:
         cap = len(comp) // 2
-    if not cap:  # a lone vertex has only the empty complement
-        return 0
     # the search starts at 0 and then at v + 1 for component vertices v only
     reach = [0] * (comp[-1] + 2)  # reach[v + 1]: union of N(w) over component w > v
     full = 0
@@ -272,7 +272,7 @@ def _best_complement(adj: Tuple[int, ...], comp: Tuple[int, ...], floor: int = 0
             promoted = near & one
             grown_one = (one | near) & ~(many | promoted | vb)
             grown_many = (many | promoted) & ~vb
-            stale = (adj[v] & prefix) | vb
+            stale = adj[v] & prefix
             while promoted:
                 wb = promoted & -promoted
                 promoted ^= wb

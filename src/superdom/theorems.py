@@ -56,13 +56,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache, partial
-from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import families, ops, solver
 from .graph import DEFAULT_ISO_GUARD, Graph, is_isomorphic
-from .jsontext import dumps, quote
+from .jsontext import dumps
 
 ALL_THEOREM_IDS = (
     "T1",
@@ -667,63 +666,7 @@ def run_harness(cfg: HarnessConfig = DEFAULT_CONFIG) -> Tuple[List[TheoremReport
     return reports, summary
 
 
-# A report row at its depth in the document: fields at six spaces, the
-# items of its lists and of its witness at eight.
-_FIELD = "\n      "
-_ITEM = "\n        "
-_ROW = (
-    '{\n      "holds": %s,\n      "instance": %s,\n      "lhs": %s,\n      "relations": %s,'
-    '\n      "rhs": %s,\n      "theorem_id": %s,\n      "witness": %s\n    }'
-)
 _DOCUMENT = '{\n  "config": %s,\n  "reports": %s,\n  "summary": %s\n}\n'
-
-
-def _row_list(items) -> str:
-    """A row's lhs or rhs, each number through :func:`_num`, as :func:`dumps` writes it."""
-    parts = [str(x) if type(x) is int else dumps(_num(x), _ITEM) for x in items]
-    return "[" + _ITEM + ("," + _ITEM).join(parts) + _FIELD + "]" if parts else "[]"
-
-
-@lru_cache(maxsize=256)
-def _int_witness_template(keys: Tuple) -> Optional[Tuple[str, Callable]]:
-    """The %-template of an all-int witness with these keys, in dict order,
-    and the getter of its values in sorted key order; None unless every
-    key is a str."""
-    if not all(type(k) is str for k in keys):
-        return None
-    order = sorted(keys)
-    items = [_ITEM + quote(k).replace("%", "%%") + ": %d" for k in order]
-    return "{" + ",".join(items) + _FIELD + "}", itemgetter(*order)
-
-
-@lru_cache(maxsize=256)
-def _relations_text(relations: Tuple) -> str:
-    """A row's relations as :func:`dumps` writes them; the harness writes
-    only a handful of distinct tuples."""
-    return dumps(list(relations), _FIELD)
-
-
-def _row(r: TheoremReport) -> str:
-    """The report ``r`` as :func:`dumps` writes it in the report list.
-
-    ``holds``, ``instance`` and ``theorem_id`` are written directly when
-    they are a bool or a str, and through :func:`dumps` otherwise."""
-    tid, instance, lhs, relations, rhs, holds, witness = r
-    text = None
-    if type(witness) is dict and witness and all(type(x) is int for x in witness.values()):
-        made = _int_witness_template(tuple(witness))
-        if made:
-            text = made[0] % made[1](witness)
-    return _ROW % (
-        "true" if holds is True else "false" if holds is False else dumps(holds, _FIELD),
-        # the C escaper, not quote: quote added 1-2 ms to the ~29 ms default report (8,262 strings)
-        encode_basestring_ascii(instance) if type(instance) is str else dumps(instance, _FIELD),
-        _row_list(lhs),
-        _relations_text(relations) if type(relations) is tuple else dumps(list(relations), _FIELD),
-        _row_list(rhs),
-        encode_basestring_ascii(tid) if type(tid) is str else dumps(tid, _FIELD),
-        text or dumps(witness, _FIELD),
-    )
 
 
 def report_document(reports: List[TheoremReport], summary: Dict, cfg: HarnessConfig) -> str:
@@ -733,18 +676,25 @@ def report_document(reports: List[TheoremReport], summary: Dict, cfg: HarnessCon
     plus a newline, for ``doc`` the config echo, each report as an object
     of its seven fields (lhs and rhs through :func:`_num`) and the summary.
     ``report_dict`` in ``tests/test_theorems.py`` builds that object, the
-    reference the tests compare these bytes against.  Each report is written through one fixed %-template: its
-    all-int witnesses through a template cached per key set, its
-    relations through text cached per tuple, and a bool ``holds`` or str
-    ``instance`` and ``theorem_id`` directly.  Every other value (a
-    config, a summary, a witness holding anything but ints) is written by
-    :func:`dumps`, the package's one JSON writer (``jsontext``), and no
-    per-report dict is built.  The standard library indents only through
-    its pure-Python encoder, which takes about half as long again on the
-    default report.  Anything a report never holds (a float, a
-    ``Fraction`` outside lhs and rhs, ``None``, a tuple, a non-str key)
-    is a ``TypeError``, so no other bytes are silently written.
+    reference the tests compare these bytes against.  Every value is
+    written by :func:`dumps`, the package's one JSON writer, and each
+    report's object is built and written in turn, so only the row texts,
+    never every row's object, are held at once.  Anything a report never
+    holds (a float, a ``Fraction`` outside lhs and rhs, ``None``, a tuple,
+    a non-str key) is a ``TypeError``, so no other bytes are silently
+    written.
     """
-    rows = [_row(r) for r in reports]
+    rows = [
+        dumps({
+            "holds": r.holds,
+            "instance": r.instance,
+            "lhs": [_num(x) for x in r.lhs],
+            "relations": list(r.relations),
+            "rhs": [_num(x) for x in r.rhs],
+            "theorem_id": r.theorem_id,
+            "witness": r.witness,
+        }, "\n    ")
+        for r in reports
+    ]
     listed = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
     return _DOCUMENT % (dumps(config_to_dict(cfg), "\n  "), listed, dumps(summary, "\n  "))

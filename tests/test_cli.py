@@ -633,8 +633,8 @@ def test_report_hash_is_pinned_once():
 
 
 def test_default_report_on_the_oldest_supported_python(tmp_path):
-    # requires-python is >=3.10: the report's format templates must write
-    # the same bytes there
+    # requires-python is >=3.10: the report's writer must write the same
+    # bytes there
     exe = shutil.which("python3.10")
     probe = exe and subprocess.run([exe, "-c", "import sys; print(sys.version_info[:2])"], capture_output=True, text=True)
     if not probe or probe.returncode != 0 or probe.stdout.strip() != "(3, 10)":
@@ -764,9 +764,11 @@ class TestImportBudget:
         assert _modules_loaded("import superdom") == set()
 
 
-def _run_python(*args, stdout=subprocess.PIPE):
-    """A fresh interpreter on ``args``, with ``PYTHONUNBUFFERED`` unset."""
+def _run_python(*args, stdout=subprocess.PIPE, unbuffered=False):
+    """A fresh interpreter on ``args``, with ``PYTHONUNBUFFERED`` set only if ``unbuffered``."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
 
 
@@ -849,19 +851,22 @@ class TestExitPath:
 
     @pytest.mark.parametrize("command, sink", [
         ("gamma", "closed-pipe"), ("gamma", "full"), ("verify", "closed-pipe"), ("verify", "full"),
-        ("verify", "closed-pipe-unbuffered"), ("help", "full"),
+        ("verify", "closed-pipe-unbuffered"), ("help", "full"), ("help", "full-unbuffered"),
+        ("gen-help", "full-unbuffered"),
     ])
     def test_failed_stdout_write_exits_120(self, p5, tmp_path, command, sink):
         # one error line and exit 120, whether the write fails in the
-        # command or in the flush after it, and none again as the process exits
+        # command or in the flush after it, and none again as the process
+        # exits; unbuffered, -h's own write fails, which argparse would drop
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"theorems": ["T2i"], "family_max_order": 4}))
-        argv = {"gamma": ["gamma", p5], "verify": ["verify", "--config", str(config)], "help": ["-h"]}[command]
-        if sink == "full":
+        argv = {"gamma": ["gamma", p5], "verify": ["verify", "--config", str(config)], "help": ["-h"],
+                "gen-help": ["gen", "path", "4", "-h"]}[command]
+        if sink in ("full", "full-unbuffered"):
             if not os.path.exists("/dev/full"):
                 pytest.skip("no /dev/full")
             with open("/dev/full", "w") as full:
-                proc = _run_python("-m", "superdom.cli", *argv, stdout=full)
+                proc = _run_python("-m", "superdom.cli", *argv, stdout=full, unbuffered=sink == "full-unbuffered")
             errno = 28
         elif sink == "closed-pipe":
             read, write = os.pipe()

@@ -1,6 +1,7 @@
 """The one JSON writer against ``json.dumps(..., sort_keys=True, indent=2)``."""
 
 import json
+from enum import IntEnum
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -22,6 +23,15 @@ _values = st.recursive(
 )
 
 
+class _Colour(IntEnum):
+    RED = 3
+
+
+class _Label(str):
+    def __str__(self):
+        return "not the string's own text"
+
+
 def _stdlib(value):
     return json.dumps(value, sort_keys=True, indent=2)
 
@@ -37,6 +47,9 @@ class TestDumps:
         "", "\u00e9\u4e2d\U0001f600", "\x00\x1f\n\t\"\\",
         {"\u00e9": 1, "e": 2, "\x01": 3, "": 4},
         2 ** 64, -(2 ** 64) - 1, {"%": 1, "%d": 2, "%%": [3], "a%s": {"%": True}},
+        {"a": True, "b": 1, "c": False, "d": 0},
+        # subclasses, which miss the exact-type tests and take the isinstance ones
+        _Colour.RED, [_Colour.RED, True, 3, False, 0], _Label("v\u00e9"), {_Label("k"): _Label("v"), "j": 1},
     ], ids=repr)
     def test_edge_values(self, value):
         assert dumps(value) == _stdlib(value)
