@@ -49,7 +49,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from . import solver
-from .graph import EdgeListError, Graph, SizeGuardError, read_edge_list, write_edge_list
+from .graph import EdgeListError, Graph, SizeGuardError, _decimal, read_edge_list, write_edge_list
 from .jsontext import dumps
 
 if TYPE_CHECKING:
@@ -63,9 +63,10 @@ EXIT_WRITE = 120  # as when the flush at interpreter shutdown fails
 
 
 def _int(text: str, what: str) -> int:
-    """``text`` as an integer; ``what`` names the command and operand for the error."""
+    """``text`` as an integer, unsigned ASCII decimal as in an edge list
+    after an optional ``-``; ``what`` names the command and operand for the error."""
     try:
-        return int(text)
+        return -_decimal(text[1:]) if text[:1] == "-" else _decimal(text)
     except ValueError:
         raise ValueError(f"{what} {text!r} is not an integer") from None
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, NamedTuple, Optional, Tuple, Union
 
-from .graph import Graph
+from .graph import Graph, _decimal
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -87,14 +87,20 @@ def friendship_graph(n: int) -> Graph:
 
 
 def _as_probability(p: RationalLike) -> Fraction:
-    """The one parser of edge probabilities: a ``RationalLike`` in [0, 1]."""
+    """The one parser of edge probabilities: a ``RationalLike`` in [0, 1].
+    A string is ``num/den`` or ``num``, each number unsigned ASCII decimal
+    as in an edge list."""
     from fractions import Fraction
 
     if isinstance(p, bool) or not isinstance(p, (Fraction, int, str, tuple)):
         raise ValueError(f"edge probability must be a fraction, an integer or a string, got {p!r}")
     try:
-        p = Fraction(*p) if isinstance(p, tuple) else Fraction(p)
-    except ZeroDivisionError:
+        if isinstance(p, str):
+            num, slash, den = p.partition("/")
+            p = Fraction(_decimal(num), _decimal(den) if slash else 1)
+        else:
+            p = Fraction(*p) if isinstance(p, tuple) else Fraction(p)
+    except ZeroDivisionError:  # p is still the value given, since the assignment failed
         raise ValueError(f"edge probability {p!r} has a zero denominator") from None
     except ValueError:
         raise ValueError(f"edge probability {p!r} is not a fraction") from None

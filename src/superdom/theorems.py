@@ -666,9 +666,6 @@ def run_harness(cfg: HarnessConfig = DEFAULT_CONFIG) -> Tuple[List[TheoremReport
     return reports, summary
 
 
-_DOCUMENT = '{\n  "config": %s,\n  "reports": %s,\n  "summary": %s\n}\n'
-
-
 def report_document(reports: List[TheoremReport], summary: Dict, cfg: HarnessConfig) -> str:
     """Canonical JSON for a harness run (sorted keys, stable ordering).
 
@@ -676,25 +673,21 @@ def report_document(reports: List[TheoremReport], summary: Dict, cfg: HarnessCon
     plus a newline, for ``doc`` the config echo, each report as an object
     of its seven fields (lhs and rhs through :func:`_num`) and the summary.
     ``report_dict`` in ``tests/test_theorems.py`` builds that object, the
-    reference the tests compare these bytes against.  Every value is
-    written by :func:`dumps`, the package's one JSON writer, and each
-    report's object is built and written in turn, so only the row texts,
-    never every row's object, are held at once.  Anything a report never
-    holds (a float, a ``Fraction`` outside lhs and rhs, ``None``, a tuple,
-    a non-str key) is a ``TypeError``, so no other bytes are silently
-    written.
+    reference the tests compare these bytes against.  One :func:`dumps`
+    call, the package's one JSON writer, writes the whole document; the
+    reports go to it as a generator, so each report's object is built and
+    written in turn and only the row texts, never every row's object, are
+    held at once.  Anything a report never holds (a float, a ``Fraction``
+    outside lhs and rhs, ``None``, a tuple, a non-str key) is a
+    ``TypeError``, so no other bytes are silently written.
     """
-    rows = [
-        dumps({
-            "holds": r.holds,
-            "instance": r.instance,
-            "lhs": [_num(x) for x in r.lhs],
-            "relations": list(r.relations),
-            "rhs": [_num(x) for x in r.rhs],
-            "theorem_id": r.theorem_id,
-            "witness": r.witness,
-        }, "\n    ")
-        for r in reports
-    ]
-    listed = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
-    return _DOCUMENT % (dumps(config_to_dict(cfg), "\n  "), listed, dumps(summary, "\n  "))
+    rows = ({
+        "holds": r.holds,
+        "instance": r.instance,
+        "lhs": [_num(x) for x in r.lhs],
+        "relations": list(r.relations),
+        "rhs": [_num(x) for x in r.rhs],
+        "theorem_id": r.theorem_id,
+        "witness": r.witness,
+    } for r in reports)
+    return dumps({"config": config_to_dict(cfg), "reports": rows, "summary": summary}) + "\n"

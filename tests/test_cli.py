@@ -318,6 +318,38 @@ def test_non_integer_operand_names_command_and_operand(p5, argv, message, capsys
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "path", "\u0663"], "gen path: parameter '\u0663' is not an integer"),
+    (["gen", "path", "1_2"], "gen path: parameter '1_2' is not an integer"),
+    (["gen", "path", "+3"], "gen path: parameter '+3' is not an integer"),
+    (["gen", "gnp_random", " 5", "1/2"], "gen gnp_random: parameter ' 5' is not an integer"),
+    (["gen", "gnp_random", "5", "\u0663/\u0664"], "gen gnp_random: edge probability '\u0663/\u0664' is not a fraction"),
+    (["gen", "gnp_random", "5", "0.5"], "gen gnp_random: edge probability '0.5' is not a fraction"),
+    (["op", "odot", "{file}", "\u0663"], "op odot: vertex '\u0663' is not an integer"),
+    (["op", "bouquet", "{file}:+1"], "op bouquet: attach vertex '+1' is not an integer"),
+    (["op", "chain", "{file}:\u0663:0", "{file}:0:1"], "op chain: attach vertex '\u0663' is not an integer"),
+    (["check", "{file}", "--set", " 1"], "check: --set vertex ' 1' is not an integer"),
+    (["check", "{file}", "--set", "\u0663,0"], "check: --set vertex '\u0663' is not an integer"),
+], ids=["gen_arabic_indic", "gen_underscore", "gen_plus", "gnp_space", "gnp_arabic_indic_p", "gnp_decimal_p",
+        "odot_arabic_indic", "bouquet_plus", "chain_arabic_indic", "check_space", "check_arabic_indic"])
+def test_operands_follow_the_edge_list_number_rule(p5, argv, message, capsys):
+    # command operands read numbers as an edge list does: ASCII digits, with
+    # no sign but a leading minus, no space, no underscore, no other digit
+    assert main([a.format(file=p5) for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "path", "-5"], "path needs n >= 1, got -5"),
+    (["op", "odot", "{file}", "-1"], "vertex -1 out of range 0..4"),
+    (["check", "{file}", "--set", "0,-1"], "vertex -1 out of range 0..4"),
+], ids=["gen", "odot", "check"])
+def test_a_leading_minus_reads_as_a_sign(p5, argv, message, capsys):
+    # so a negative operand is refused by the range it misses
+    assert main([a.format(file=p5) for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 SMALL_CONFIG = {
     "theorems": ["T1", "T2i", "R_chain_sharp_upper"],
     "family_max_order": 6,
@@ -426,6 +458,10 @@ class TestVerify:
         ({"theorems": ["T1"], "random": {"p": [0.5]}}, "random.p: edge probability must be"),
         ({"theorems": ["T1"], "random": {"p": ["1/0"]}}, "random.p: edge probability '1/0' has a zero denominator"),
         ({"theorems": ["T1"], "random": {"p": ["x"]}}, "random.p: edge probability 'x' is not a fraction"),
+        ({"theorems": ["T1"], "random": {"p": [" 1/2"]}}, "random.p: edge probability ' 1/2' is not a fraction"),
+        ({"theorems": ["T1"], "random": {"p": ["1_0/2_0"]}}, "random.p: edge probability '1_0/2_0' is not a fraction"),
+        ({"theorems": ["T1"], "random": {"p": ["\u0663/\u0664"]}}, "random.p: edge probability '\u0663/\u0664' is not a fraction"),
+        ({"theorems": ["T1"], "random": {"p": ["0.5"]}}, "random.p: edge probability '0.5' is not a fraction"),
         ([], "config must be a JSON object, got list"),
         ("x", "config must be a JSON object, got str"),
         ({"theorems": ["T1"], "random": []}, "random must be a JSON object, got list"),
@@ -435,6 +471,7 @@ class TestVerify:
     ], ids=["n_min_above_n_max", "negative_count", "empty_p", "theorems_not_list",
             "family_order_above_guard", "n_max_above_guard", "null_count", "string_count",
             "bool_union_pairs", "float_guard", "float_p", "zero_denominator_p", "text_p",
+            "spaced_p", "underscored_p", "arabic_indic_p", "decimal_p",
             "top_level_list", "top_level_string", "random_not_object", "zero_vertex_grid"])
     def test_config_faults_are_usage_errors(self, config, message, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -32,6 +32,11 @@ class _Label(str):
         return "not the string's own text"
 
 
+def iter_items(items):
+    """The items of ``items`` as a generator."""
+    return (item for item in items)
+
+
 def _stdlib(value):
     return json.dumps(value, sort_keys=True, indent=2)
 
@@ -54,12 +59,28 @@ class TestDumps:
     def test_edge_values(self, value):
         assert dumps(value) == _stdlib(value)
 
+    @given(st.lists(_values, max_size=6))
+    def test_writes_a_generator_as_the_list_of_its_items(self, items):
+        assert dumps(iter_items(items)) == _stdlib(items)
+        assert dumps({"a": 1, "rows": iter_items(items), "z": [iter_items(items)]}) == _stdlib(
+            {"a": 1, "rows": items, "z": [items]})
+
+    def test_empty_generator(self):
+        assert dumps(iter_items([])) == "[]"
+        assert dumps({"rows": iter_items([])}) == _stdlib({"rows": []})
+
     @pytest.mark.parametrize("value", [
         1.5, Fraction(1, 2), {1: 2}, {"a": [0.0]}, None, (1, 2), {"a": 1, 2: 3},
+        (), {1}, set(), frozenset(), range(2), {"a": 1}.keys(), b"ab",
     ], ids=repr)
     def test_refuses_what_the_package_never_writes(self, value):
         with pytest.raises(TypeError):
             dumps(value)
+
+    def test_refuses_other_iterators_and_what_a_generator_never_holds(self):
+        for value in (iter([1]), map(int, "1"), {"a": iter_items([0.5])}):
+            with pytest.raises(TypeError):
+                dumps(value)
 
 
 class TestQuote:
