@@ -62,13 +62,17 @@ EXIT_GUARD = 3
 EXIT_WRITE = 120  # as when the flush at interpreter shutdown fails
 
 
-def _int(text: str, what: str) -> int:
+def _int(text: str, what: str = "option") -> int:
     """``text`` as an integer, unsigned ASCII decimal as in an edge list
-    after an optional ``-``; ``what`` names the command and operand for the error."""
+    after an optional ``-``; ``what`` names the command and operand for the
+    error.  ``--guard-n`` and ``--seed`` are read by it too."""
     try:
         return -_decimal(text[1:]) if text[:1] == "-" else _decimal(text)
     except ValueError:
         raise ValueError(f"{what} {text!r} is not an integer") from None
+
+
+_int.__name__ = "int"  # argparse names an option's type in "invalid int value: 'x'", as for Python's int
 
 
 def _read_text(path: str, encoding: str) -> str:
@@ -283,10 +287,10 @@ class _Listed(tuple):
 # only when the argparse parser is built.  Command ``c`` runs ``cmd_c``
 # (dashes as underscores), looked up when it runs.
 OPTIONS = {
-    "--guard-n": ("guard_n", "N", int, None, None, False,
+    "--guard-n": ("guard_n", "N", _int, None, None, False,
                   f"size guard for the exact solvers (default {solver.DEFAULT_GUARD})"),
     "--format": ("format", None, None, ("json", "text"), "json", False, "output format (default json)"),
-    "--seed": ("seed", None, int, None, 0, False, "seed for random generation"),
+    "--seed": ("seed", None, _int, None, 0, False, "seed for random generation"),
 }
 _FILE = ("file", 1, None, "edge-list file")
 _OUT = ("out", None, None, None, None, False, "edge-list output path (default stdout)")

@@ -10,7 +10,8 @@ its vertices (a component, a neighbourhood, a certificate's set), which
 the private ``_members`` expands from its mask.  A graph derived from a
 valid one by mask algebra (the vertex surgeries and compositions of
 ``ops``) is built by the private ``Graph._of``, which takes the masks as
-they are and checks nothing again.  The solvers build no graph at all:
+they are and checks only their number against :data:`MAX_ORDER`, as the
+constructor does.  The solvers build no graph at all:
 they search each component in place on ``adj``.
 """
 
@@ -39,6 +40,13 @@ class EdgeListError(ValueError):
     """Malformed edge-list text."""
 
 
+def _order(n: int) -> int:
+    """``n``, if a graph may have that many vertices (at most :data:`MAX_ORDER`)."""
+    if n > MAX_ORDER:
+        raise ValueError(f"vertex count {n} exceeds the maximum order of {MAX_ORDER}")
+    return n
+
+
 def _members(mask: int) -> Tuple[int, ...]:
     """The vertices of ``mask`` as an ascending tuple."""
     out = []
@@ -65,9 +73,7 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        if n > MAX_ORDER:
-            raise ValueError(f"vertex count {n} exceeds the maximum order of {MAX_ORDER}")
-        adj = [0] * n
+        adj = [0] * _order(n)
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise IndexError(f"edge ({u}, {v}) out of range for n={n}")
@@ -81,13 +87,15 @@ class Graph:
 
     @classmethod
     def _of(cls, adj: Tuple[int, ...]) -> "Graph":
-        """The graph with neighbourhood masks ``adj``, built without checks.
+        """The graph with neighbourhood masks ``adj``, whose order alone is checked.
 
         Only for masks derived from a valid graph (symmetric, loop-free,
         within range), as the vertex surgeries and compositions produce.
+        The order is held to :data:`MAX_ORDER` as the constructor holds
+        it, so a union, chain or bouquet above it is refused.
         """
         g = cls.__new__(cls)
-        g.n = len(adj)
+        g.n = _order(len(adj))
         g.adj = adj
         g.m = sum(a.bit_count() for a in adj) // 2
         return g

@@ -8,10 +8,11 @@ the result.  An identified vertex keeps the smallest index it received
 while parts are placed left to right.  A bouquet is the chain of its parts
 with y = x in every part, so :func:`chain` places the vertices of both.
 
-The vertex surgeries and the disjoint union work on the neighbourhood
-masks of their already valid inputs and build the result with the private
-``Graph._of``, with no edge list and no re-validation; chains and
-bouquets relabel edge lists.
+Every surgery and composition works on the neighbourhood masks of its
+already valid inputs and builds the result with the private ``Graph._of``,
+with no edge list and no re-validation; ``Graph._of`` holds the result to
+the order bound ``graph.MAX_ORDER``, so an oversized union, chain or
+bouquet is refused.
 """
 
 from __future__ import annotations
@@ -76,43 +77,34 @@ def disjoint_union(g: Graph, h: Graph) -> CompositionResult:
     return CompositionResult(union, (map_g, map_h), ())
 
 
-def _check_attach(part_index: int, g: Graph, v: int) -> None:
-    if not 0 <= v < g.n:
-        raise IndexError(
-            f"attach vertex {v} out of range for part {part_index} (n={g.n})"
-        )
-
-
 def chain(parts: Sequence[Tuple[Graph, int, int]]) -> CompositionResult:
     """Chain the parts by identifying ``y`` of each part with ``x`` of the next.
 
     Each part is a (graph, x, y) triple; x and y may coincide within a
     part.  The first part keeps its own labels, later parts get fresh
     indices in ascending original order.  A single part comes back
-    unchanged.
+    unchanged.  On masks: a later part's x becomes z, the index of the
+    previous part's y; its vertices below x move up by the order so far,
+    and those above x by one less.
     """
     if not parts:
         raise ValueError("chain needs at least one part")
     for i, (g, x, y) in enumerate(parts):
-        _check_attach(i, g, x)
-        _check_attach(i, g, y)
+        for v in (x, y):
+            if not 0 <= v < g.n:
+                raise IndexError(f"attach vertex {v} out of range for part {i} (n={g.n})")
 
-    maps: List[Tuple[int, ...]] = []
-    edges: List[Tuple[int, int]] = []
+    adj = list(parts[0][0].adj)
+    maps = [tuple(range(len(adj)))]
     merged: List[int] = []
-    next_free = 0
-    for i, (g, x, y) in enumerate(parts):
-        mp = [-1] * g.n
-        if i > 0:
-            mp[x] = maps[i - 1][parts[i - 1][2]]
-            merged.append(mp[x])
-        for v in range(g.n):
-            if mp[v] < 0:
-                mp[v] = next_free
-                next_free += 1
-        maps.append(tuple(mp))
-        edges += [(mp[a], mp[b]) for a, b in g.edges()]
-    return CompositionResult(Graph(next_free, edges), tuple(maps), tuple(merged))
+    for (_, _, y), (g, x, _) in zip(parts, parts[1:]):
+        z, n = maps[-1][y], len(adj)
+        moved = [(a & (1 << x) - 1) << n | a >> x + 1 << n + x | (a >> x & 1) << z for a in g.adj]
+        adj[z] |= moved.pop(x)
+        adj += moved
+        maps.append(tuple(n + v if v < x else z if v == x else n + v - 1 for v in range(g.n)))
+        merged.append(z)
+    return CompositionResult(Graph._of(tuple(adj)), tuple(maps), tuple(merged))
 
 
 def bouquet(parts: Sequence[Tuple[Graph, int]]) -> CompositionResult:

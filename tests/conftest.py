@@ -138,7 +138,7 @@ def graphs(draw, min_n=1, max_n=8):
     return Graph(n, edges)
 
 
-# Edge-list constructions of the surgeries, kept as an oracle for the
+# Edge-list constructions of the surgeries and compositions, kept as an oracle for the
 # mask versions in the package: each builds its result from the edge list
 # through the validating constructor.
 
@@ -161,3 +161,30 @@ def edge_list_contract_clique(g: Graph, v: int) -> Graph:
 def edge_list_disjoint_union(g: Graph, h: Graph) -> Graph:
     return Graph(g.n + h.n, g.edges() + [(g.n + a, g.n + b) for a, b in h.edges()])
 
+
+
+def edge_list_chain(parts):
+    """(graph, vertex_maps, merged) of the chain of the (graph, x, y) parts:
+    each part's edges relabelled and rebuilt through the validating
+    constructor, fresh indices handed out in part order."""
+    maps, edges, merged = [], [], []
+    next_free = 0
+    for i, (g, x, y) in enumerate(parts):
+        mp = [-1] * g.n
+        if i > 0:
+            mp[x] = maps[i - 1][parts[i - 1][2]]
+            merged.append(mp[x])
+        for v in range(g.n):
+            if mp[v] < 0:
+                mp[v] = next_free
+                next_free += 1
+        maps.append(tuple(mp))
+        edges += [(mp[a], mp[b]) for a, b in g.edges()]
+    return Graph(next_free, edges), tuple(maps), tuple(merged)
+
+
+def edge_list_bouquet(parts):
+    """The bouquet of the (graph, x) parts: their chain with y = x, whose
+    one merged vertex is the first part's x."""
+    g, maps, _ = edge_list_chain([(h, x, x) for h, x in parts])
+    return g, maps, (maps[0][parts[0][1]],)

@@ -1,14 +1,28 @@
 """The argparse parser of ``superdom.cli`` before its table-driven parser
 replaced it, kept as a test-only reference for ``test_cli_parity.py``.
 
-``build_parser`` is the old code unchanged apart from its imports;
-``parse`` adds the ``--guard-n`` check that the old ``main`` ran after it.
+``build_parser`` is the old code unchanged apart from its imports and
+the type of ``--guard-n`` and ``--seed``, which now read an integer by the
+edge-list number rule (``decimal``) instead of Python's ``int``; ``parse``
+adds the ``--guard-n`` check that the old ``main`` ran after it.
 """
 
 import argparse
 
 from superdom import solver
 from superdom.cli import OP_OPERANDS, cmd_check, cmd_gamma, cmd_gamma_sp, cmd_gen, cmd_op, cmd_verify
+
+
+def decimal(text):
+    """``int(text)`` for unsigned ASCII decimal after an optional ``-``;
+    a sign ``+``, spaces, ``_`` and other scripts' digits are refused."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
+decimal.__name__ = "int"  # argparse's message names the type: "invalid int value: 'x'"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -18,11 +32,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="superdom",
         description="Exact super domination solver and bound verification toolkit.",
     )
-    parser.add_argument("--guard-n", type=int, metavar="N",
+    parser.add_argument("--guard-n", type=decimal, metavar="N",
                         help=f"size guard for the exact solvers (default {solver.DEFAULT_GUARD})")
     parser.add_argument("--format", choices=("json", "text"), default="json",
                         help="output format (default %(default)s)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for random generation")
+    parser.add_argument("--seed", type=decimal, default=0, help="seed for random generation")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a named family instance")

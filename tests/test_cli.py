@@ -389,6 +389,16 @@ class TestOversizedHeader:
         assert capsys.readouterr().err == f"error: {search}: n=30 exceeds the size guard of 24\n"
 
 
+def test_union_above_the_order_bound_is_refused(tmp_path, capsys):
+    # the union of two graphs of the largest order is held to that order
+    # too, so it is refused rather than written as a file no command reads
+    big = write_graph_file(tmp_path, "big.el", "16384 0\n")
+    out = tmp_path / "u.el"
+    assert main(["op", "union", big, big, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: vertex count 32768 exceeds the maximum order of 16384\n")
+    assert not out.exists()
+
+
 def _cap_address_space():
     limit = 1 << 30
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))

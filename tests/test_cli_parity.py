@@ -2,9 +2,10 @@
 
 ``cli.parse_args`` reads plain spellings itself and hands every other
 argv to an argparse parser built from ``cli.OPTIONS`` and ``cli.COMMANDS``.
-Both are checked against that first parser, kept unchanged in
-``reference_parser``, and the JSON the commands print, written by
-``jsontext.dumps``, against ``json.dumps(..., sort_keys=True, indent=2)``.
+Both are checked against that first parser, kept in ``reference_parser``
+with only the number rule of ``--guard-n`` and ``--seed`` changed, and
+the JSON the commands print, written by ``jsontext.dumps``, against
+``json.dumps(..., sort_keys=True, indent=2)``.
 """
 
 import itertools
@@ -41,6 +42,7 @@ ACCEPTED = [
     ["check", "--set", "0", "--", "-g.el"],
     ["--seed", "7", "gen", "gnp_random", "8", "1/2"],
     ["--seed=-3", "gen", "path", "5"],
+    ["--seed", "-3", "gen", "gnp_random", "4", "1/2"],
     ["gen", "path", "5", "--out", "f.el"],
     ["gen", "--out", "f.el", "path", "5"],
     ["gen", "path", "--out", "f.el", "5"],
@@ -69,6 +71,13 @@ REFUSED = [
     ["--guard-n", "-1", "gamma-sp", "g.el"],
     ["--guard-n"],
     ["--seed", "x", "gen", "path", "5"],
+    ["--seed", " +7", "gen", "gnp_random", "4", "1/2"],
+    ["--seed", "\u0667", "gen", "path", "5"],
+    ["--seed=1_0", "gen", "path", "5"],
+    ["--guard-n", "\u0662_\u0664", "gamma", "g.el"],
+    ["--guard-n", "1_2", "gamma", "g.el"],
+    ["--guard-n", " 12", "gamma-sp", "g.el"],
+    ["--guard-n", "+12", "gamma", "g.el"],
     ["--seed", "3"],
     ["gamma"],
     ["gamma-sp"],

@@ -3,6 +3,8 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from conftest import (
+    edge_list_bouquet,
+    edge_list_chain,
     edge_list_contract_clique,
     edge_list_disjoint_union,
     edge_list_odot,
@@ -23,6 +25,7 @@ from superdom import (
     cycle_graph,
     star_graph,
 )
+from superdom.graph import MAX_ORDER
 
 
 class TestOdot:
@@ -136,6 +139,88 @@ class TestMaskSurgeries:
         assert disjoint_union(Graph(0), path_graph(3)).graph == path_graph(3)
         assert disjoint_union(path_graph(3), Graph(0)).graph == path_graph(3)
         assert contract_clique(Graph(1), 0) == Graph(0)
+
+
+@st.composite
+def connected_graphs(draw, max_n=6):
+    """A connected graph on 1..max_n vertices: a random spanning tree under
+    a random labelling, plus random extra edges."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    label = draw(st.permutations(range(n)))
+    edges = [(label[draw(st.integers(min_value=0, max_value=v - 1))], label[v]) for v in range(1, n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if pairs:
+        edges += draw(st.lists(st.sampled_from(pairs)))
+    return Graph(n, edges)
+
+
+def attach_vertices(g: Graph):
+    """Either end of ``g``'s labels, or any vertex."""
+    return st.sampled_from((0, g.n - 1)) | st.integers(min_value=0, max_value=g.n - 1)
+
+
+@st.composite
+def chain_specs(draw):
+    """One to four (graph, x, y) parts, x == y in about half of them."""
+    spec = []
+    for g in draw(st.lists(connected_graphs(), min_size=1, max_size=4)):
+        x = draw(attach_vertices(g))
+        spec.append((g, x, draw(st.just(x) | attach_vertices(g))))
+    return spec
+
+
+P3, C4 = path_graph(3), cycle_graph(4)
+
+
+class TestCompositionReference:
+    """``chain`` and ``bouquet`` on masks equal the edge-list construction
+    they replaced: the graph, the vertex maps and the merged vertices."""
+
+    @staticmethod
+    def check(spec):
+        res = chain(spec)
+        assert tuple(res) == edge_list_chain(spec)
+        assert_rebuilds(res.graph)
+        hubs = [(g, x) for g, x, _ in spec]
+        res = bouquet(hubs)
+        assert tuple(res) == edge_list_bouquet(hubs)
+        assert_rebuilds(res.graph)
+
+    @given(chain_specs())
+    def test_random_connected_parts(self, spec):
+        self.check(spec)
+
+    @pytest.mark.parametrize("spec", [
+        [(C4, 1, 3)],
+        [(Graph(1), 0, 0)],
+        [(Graph(1), 0, 0), (Graph(1), 0, 0), (Graph(1), 0, 0)],
+        [(P3, 0, 2), (Graph(1), 0, 0), (C4, 3, 0), (P3, 2, 2), (P3, 0, 0)],
+        [(P3, 2, 0), (C4, 0, 3), (C4, 3, 3), (P3, 1, 2)],
+    ], ids=["single", "single_vertex", "vertices", "ends_and_vertex", "ends"])
+    def test_edge_cases(self, spec):
+        self.check(spec)
+
+
+class TestMaxOrder:
+    """Every derived graph is held to ``MAX_ORDER``, with the constructor's message."""
+
+    MESSAGE = rf"^vertex count {2 * MAX_ORDER} exceeds the maximum order of {MAX_ORDER}$"
+
+    def test_oversized_union_is_refused(self):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            disjoint_union(Graph(MAX_ORDER), Graph(MAX_ORDER))
+
+    def test_masks_above_the_order_are_refused(self):
+        with pytest.raises(ValueError, match=rf"^vertex count {MAX_ORDER + 1} exceeds the maximum order"):
+            Graph._of((0,) * (MAX_ORDER + 1))
+        assert Graph._of((0,) * MAX_ORDER) == Graph(MAX_ORDER)
+
+    def test_oversized_chain_keeps_its_message(self):
+        half = Graph(MAX_ORDER // 2 + 1)
+        with pytest.raises(ValueError, match=rf"^vertex count {MAX_ORDER + 1} exceeds the maximum order of {MAX_ORDER}$"):
+            chain([(half, 0, 0), (half, 0, 0)])
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            bouquet([(Graph(MAX_ORDER), 0), (Graph(MAX_ORDER), 0), (Graph(2), 0)])
 
 
 class TestChain:
