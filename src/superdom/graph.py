@@ -92,7 +92,8 @@ class Graph:
         Only for masks derived from a valid graph (symmetric, loop-free,
         within range), as the vertex surgeries and compositions produce.
         The order is held to :data:`MAX_ORDER` as the constructor holds
-        it, so a union, chain or bouquet above it is refused.
+        it; the compositions of ``ops`` hold theirs to it before they
+        build any mask.
         """
         g = cls.__new__(cls)
         g.n = _order(len(adj))

@@ -10,16 +10,17 @@ with y = x in every part, so :func:`chain` places the vertices of both.
 
 Every surgery and composition works on the neighbourhood masks of its
 already valid inputs and builds the result with the private ``Graph._of``,
-with no edge list and no re-validation; ``Graph._of`` holds the result to
-the order bound ``graph.MAX_ORDER``, so an oversized union, chain or
-bouquet is refused.
+with no edge list and no re-validation.  A union, chain or bouquet states
+its order with :func:`_glued_order` and holds it to ``graph.MAX_ORDER``
+before it builds any mask, so an oversized one is refused at the cost of
+its inputs alone.
 """
 
 from __future__ import annotations
 
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .graph import Graph
+from .graph import Graph, _order
 
 
 class CompositionResult(NamedTuple):
@@ -33,6 +34,12 @@ class CompositionResult(NamedTuple):
     graph: Graph
     vertex_maps: Tuple[Tuple[int, ...], ...]
     merged: Tuple[int, ...]
+
+
+def _glued_order(orders: Sequence[int]) -> int:
+    """Order of a chain or bouquet of parts of these orders: each of the
+    len(orders) - 1 identifications merges two vertices into one."""
+    return sum(orders) - len(orders) + 1
 
 
 def odot(g: Graph, v: int) -> Graph:
@@ -71,6 +78,7 @@ def contract_clique(g: Graph, v: int) -> Graph:
 def disjoint_union(g: Graph, h: Graph) -> CompositionResult:
     """Place ``g`` and ``h`` side by side with no edges between them: the
     masks of ``h`` shift up by ``g.n``."""
+    _order(g.n + h.n)
     map_g = tuple(range(g.n))
     map_h = tuple(range(g.n, g.n + h.n))
     union = Graph._of(g.adj + tuple(a << g.n for a in h.adj))
@@ -93,6 +101,7 @@ def chain(parts: Sequence[Tuple[Graph, int, int]]) -> CompositionResult:
         for v in (x, y):
             if not 0 <= v < g.n:
                 raise IndexError(f"attach vertex {v} out of range for part {i} (n={g.n})")
+    _order(_glued_order([g.n for g, _, _ in parts]))
 
     adj = list(parts[0][0].adj)
     maps = [tuple(range(len(adj)))]

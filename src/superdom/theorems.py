@@ -38,7 +38,9 @@ R_*                     sharpness witnesses achieving a bound with equality;
 Each bound is stated once.  :func:`_op_slack` holds floor(deg/2) - 1 for
 the vertex operations, and :func:`_glued_sandwich` builds the chain and
 bouquet sandwich rows from the part values and a slack.  The checks and
-the sharpness witnesses take their bounds from these two.
+the sharpness witnesses take their bounds from these two.  The chain and
+bouquet checks take their parts' labels, and :func:`_glued_label` spells
+their instance labels from them.
 
 The size guard is checked once, by :func:`run_harness`, before any check
 runs.  The checks and the certificate caches take no guard, so a check
@@ -136,6 +138,14 @@ def _dom_cert(g: Graph) -> solver.DomCertificate:
 
 def _default_label(g: Graph) -> str:
     return f"graph(n={g.n},m={g.m})"
+
+
+def _glued_label(name: str, parts: Sequence[Tuple], labels: Optional[Sequence[str]] = None) -> str:
+    """The instance label ``name(label@a:b,...)`` of glued parts (graph,
+    attach vertices...): each part's label, by default
+    ``graph(n=..,m=..)``, then its attach vertices joined by colons."""
+    labels = labels or [_default_label(g) for g, *_ in parts]
+    return f"{name}(" + ",".join(f"{label}@" + ":".join(map(str, ends)) for label, (_, *ends) in zip(labels, parts)) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +253,7 @@ def check_chain2(
     y1: int,
     g2: Graph,
     x2: int,
-    instance: Optional[str] = None,
+    labels: Optional[Sequence[str]] = None,
 ) -> TheoremReport:
     """Two-part chain sandwich, plus a constructive spot check when it applies.
 
@@ -265,15 +275,7 @@ def check_chain2(
     out2 = sum(1 << u for u in range(g2.n) if u not in c2.vertices)
     private1 = g1.adj[y1] & out1
     private2 = g2.adj[x2] & out2
-    case_applies = (
-        y1 in c1.vertices
-        and x2 in c2.vertices
-        and private1 != 0
-        and private1 & (private1 - 1) == 0
-        and private2 != 0
-        and private2 & (private2 - 1) == 0
-    )
-    if case_applies:
+    if y1 in c1.vertices and x2 in c2.vertices and private1.bit_count() == private2.bit_count() == 1:
         m1, m2 = comp.vertex_maps
         g1_private = private1.bit_length() - 1
         built = {m1[w] for w in c1.vertices if w != y1}
@@ -288,22 +290,26 @@ def check_chain2(
         }
     else:
         witness["proof_case"] = "skipped (certificates outside the constructive case)"
-    return _report("T_chain2", instance or f"chain({_default_label(g1)}@{y1},{_default_label(g2)}@{x2})", rows, witness)
+    return _report("T_chain2", _glued_label("chain", [(g1, y1), (g2, x2)], labels), rows, witness)
 
 
 def check_chain_n(
     parts: Sequence[Tuple[Graph, int, int]],
-    instance: Optional[str] = None,
+    labels: Optional[Sequence[str]] = None,
 ) -> TheoremReport:
     """Chain of any number of connected parts: sum - k <= value <= sum."""
     comp, values, rows = _glued_sandwich(ops.chain, parts, len(parts))
-    label = instance or "chain(" + ",".join(f"{_default_label(g)}@{x}:{y}" for g, x, y in parts) + ")"
-    return _report("C_chain_n", label, rows, {"part_values": values, "merged": list(comp.merged)})
+    return _report("C_chain_n", _glued_label("chain", parts, labels), rows, {"part_values": values, "merged": list(comp.merged)})
+
+
+# The id a bouquet check reports under, by its part count; any count not
+# listed takes the general C_bouquet_n.  The harness samples each count.
+_BOUQUET_IDS = {2: "P_bouquet2", 3: "T_bouquet3", 4: "C_bouquet_n"}
 
 
 def check_bouquet(
     parts: Sequence[Tuple[Graph, int]],
-    instance: Optional[str] = None,
+    labels: Optional[Sequence[str]] = None,
 ) -> TheoremReport:
     """Bouquet of connected parts: sum - k + 1 <= value <= sum.
 
@@ -311,9 +317,8 @@ def check_bouquet(
     identifiers; the bound itself coincides with the general form.
     """
     comp, values, rows = _glued_sandwich(ops.bouquet, parts, len(parts) - 1)
-    tid = {2: "P_bouquet2", 3: "T_bouquet3"}.get(len(parts), "C_bouquet_n")
-    label = instance or "bouquet(" + ",".join(f"{_default_label(g)}@{x}" for g, x in parts) + ")"
-    return _report(tid, label, rows, {"part_values": values, "hub": comp.merged[0]})
+    tid = _BOUQUET_IDS.get(len(parts), _BOUQUET_IDS[4])
+    return _report(tid, _glued_label("bouquet", parts, labels), rows, {"part_values": values, "hub": comp.merged[0]})
 
 
 # ---------------------------------------------------------------------------
@@ -541,12 +546,6 @@ def config_to_dict(cfg: HarnessConfig) -> Dict:
     return {_JSON_KEYS.get(name, name): _echo(value) for name, value in zip(cfg._fields, cfg)}
 
 
-def _glued_order(orders: Sequence[int]) -> int:
-    """Order of a chain or bouquet of parts of these orders: each of the
-    len(orders) - 1 identifications merges two vertices into one."""
-    return sum(orders) - len(orders) + 1
-
-
 def run_harness(cfg: HarnessConfig = DEFAULT_CONFIG) -> Tuple[List[TheoremReport], Dict]:
     """Evaluate every selected check over the configured instance grids.
 
@@ -599,49 +598,44 @@ def run_harness(cfg: HarnessConfig = DEFAULT_CONFIG) -> Tuple[List[TheoremReport
             (l1, g1), (l2, g2) = pool[2 * i], pool[2 * i + 1]
             plan("P_union", g1.n + g2.n, _check_union, g1, g2, f"union({l1},{l2})")
 
-    if "T_chain2" in want:
-        parts = connected_random_pool(2 * cfg.chain_samples, cfg.random.seed + 100_000)
-        for i in range(cfg.chain_samples):
-            (l1, g1), (l2, g2) = parts[2 * i], parts[2 * i + 1]
-            y1 = _pick_vertex(cfg.random.seed, f"chain2:{i}:y1", g1.n)
-            x2 = _pick_vertex(cfg.random.seed, f"chain2:{i}:x2", g2.n)
-            plan("T_chain2", _glued_order([g1.n, g2.n]), check_chain2, g1, y1, g2, x2, f"chain({l1}@{y1},{l2}@{x2})")
-
-    # (id, check, instance prefix, parts, samples, seed offset, n_max, vertex tag,
-    # one tag suffix per attach vertex: x and y for a chain, x for a bouquet)
-    glued = [("C_chain_n", check_chain_n, "chain", 3, cfg.chain_samples, 200_000, 6, "chainN", (":x", ":y"))]
-    glued += [
-        (tid, check_bouquet, "bouquet", k, cfg.bouquet_samples, 300_000 + 1000 * k, 5, f"bouquet:{k}", ("",))
-        for k, tid in ((2, "P_bouquet2"), (3, "T_bouquet3"), (4, "C_bouquet_n"))
+    # (id, check, samples, seed offset, n_max, vertex tag, the tag suffixes of
+    # each part's attach vertices: x and y in a longer chain, one vertex else)
+    glued = [
+        ("T_chain2", lambda parts, labels: check_chain2(*parts[0], *parts[1], labels),
+         cfg.chain_samples, 100_000, 7, "chain2", [("y1",), ("x2",)]),
+        ("C_chain_n", check_chain_n, cfg.chain_samples, 200_000, 6, "chainN", [(f"{j}:x", f"{j}:y") for j in range(3)]),
     ]
-    for tid, check, name, k, samples, offset, n_max, tag, ends in glued:
+    glued += [
+        (tid, check_bouquet, cfg.bouquet_samples, 300_000 + 1000 * k, 5, f"bouquet:{k}", [(str(j),) for j in range(k)])
+        for k, tid in _BOUQUET_IDS.items()
+    ]
+    for tid, check, samples, offset, n_max, tag, ends in glued:
         if tid not in want:
             continue
+        k = len(ends)
         parts = connected_random_pool(k * samples, cfg.random.seed + offset, n_min=4, n_max=n_max)
         for i in range(samples):
-            chosen = []
-            labels = []
-            for j in range(k):
-                label, g = parts[k * i + j]
-                attach = [_pick_vertex(cfg.random.seed, f"{tag}:{i}:{j}{end}", g.n) for end in ends]
-                chosen.append((g, *attach))
-                labels.append(f"{label}@" + ":".join(map(str, attach)))
-            plan(tid, _glued_order([g.n for g, *_ in chosen]), check, chosen, f"{name}(" + ",".join(labels) + ")")
+            drawn = parts[k * i:k * i + k]
+            chosen = [
+                (g, *[_pick_vertex(cfg.random.seed, f"{tag}:{i}:{end}", g.n) for end in part])
+                for (_, g), part in zip(drawn, ends)
+            ]
+            plan(tid, ops._glued_order([g.n for _, g in drawn]), check, chosen, [label for label, _ in drawn])
 
     # Orders of the fixed witnesses: F_k has 2k+1 vertices, P_k has k.
     if "R_odot_sharp" in want:
         for k in range(2, 6):
             plan("R_odot_sharp", 2 * k + 1, check_odot_sharp, k)
     if "R_chain_sharp_upper" in want:
-        plan("R_chain_sharp_upper", _glued_order([3, 3]), check_chain_sharp_upper)
+        plan("R_chain_sharp_upper", ops._glued_order([3, 3]), check_chain_sharp_upper)
     if "R_chain_sharp_lower" in want:
-        plan("R_chain_sharp_lower", _glued_order([9, 11]), check_chain_sharp_lower)
+        plan("R_chain_sharp_lower", ops._glued_order([9, 11]), check_chain_sharp_lower)
     if "R_bouquet_sharp_lower" in want:
         for k in (2, 3):
-            plan("R_bouquet_sharp_lower", _glued_order([5] * k), check_bouquet_sharp_lower, k)
+            plan("R_bouquet_sharp_lower", ops._glued_order([5] * k), check_bouquet_sharp_lower, k)
     if "R_bouquet_sharp_upper" in want:
         for k in range(2, 11):
-            plan("R_bouquet_sharp_upper", _glued_order([2] * k), check_bouquet_sharp_upper, k)
+            plan("R_bouquet_sharp_upper", ops._glued_order([2] * k), check_bouquet_sharp_upper, k)
 
     over: Dict[str, int] = {}
     for ids, order, _ in plans:

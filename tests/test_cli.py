@@ -399,6 +399,16 @@ def test_union_above_the_order_bound_is_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("op,ends", [("chain", ":0:1"), ("bouquet", ":0")])
+def test_glued_above_the_order_bound_is_refused(tmp_path, capsys, op, ends):
+    # two parts of the largest order glued at one vertex
+    big = write_graph_file(tmp_path, "big.el", "16384 0\n")
+    out = tmp_path / "g.el"
+    assert main(["op", op, big + ends, big + ends, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: vertex count 32767 exceeds the maximum order of 16384\n")
+    assert not out.exists()
+
+
 def _cap_address_space():
     limit = 1 << 30
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -221,6 +223,36 @@ class TestMaxOrder:
             chain([(half, 0, 0), (half, 0, 0)])
         with pytest.raises(ValueError, match=self.MESSAGE):
             bouquet([(Graph(MAX_ORDER), 0), (Graph(MAX_ORDER), 0), (Graph(2), 0)])
+
+
+class TestOrderBeforeMasks:
+    """A union, chain or bouquet above ``MAX_ORDER`` is refused before any
+    mask is built.  Each part is a path on H vertices, just over half the
+    bound, whose masks take about 4 MB; building the result's would take
+    14 MB or more, and refusing it first stays far under the 64 KiB bound."""
+
+    H = MAX_ORDER // 2 + 1
+
+    @pytest.fixture(scope="class")
+    def half(self):
+        return path_graph(self.H)
+
+    @pytest.mark.parametrize("order,compose", [
+        (2 * H, lambda g: disjoint_union(g, g)),
+        (2 * H - 1, lambda g: chain([(g, 0, 1), (g, 0, 1)])),
+        (3 * H - 2, lambda g: chain([(g, 0, 1)] * 3)),
+        (2 * H - 1, lambda g: bouquet([(g, 0)] * 2)),
+        (3 * H - 2, lambda g: bouquet([(g, 1)] * 3)),
+    ], ids=["union", "chain2", "chain3", "bouquet2", "bouquet3"])
+    def test_refused_under_a_small_peak(self, half, order, compose):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"^vertex count {order} exceeds the maximum order of {MAX_ORDER}$"):
+                compose(half)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestChain:

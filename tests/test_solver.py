@@ -10,6 +10,7 @@ from hypothesis import given, settings
 
 import conftest as brute
 from conftest import gamma_sp_bruteforce, graphs
+from search_nodes import searches_entered
 from superdom import (
     Graph,
     SizeGuardError,
@@ -56,20 +57,7 @@ def solve_under_optimisation(stand_in, call):
 
 def nodes_entered(g, solve=gamma_sp):
     """The number of search nodes ``solve(g)`` enters."""
-    entered = 0
-
-    def count(frame, event, arg):
-        nonlocal entered
-        if event == "call" and frame.f_code.co_name == "extend" and frame.f_globals is vars(solver):
-            entered += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(count)
-    try:
-        solve(g)
-    finally:
-        sys.setprofile(previous)
-    return entered
+    return sum(searches_entered(g, solve))
 
 
 class TestIsDominating:

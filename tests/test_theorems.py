@@ -255,12 +255,39 @@ class TestChainChecks:
             assert sum(r.lhs[1] == r.rhs[1] for r in reports) == 6336
 
 
+class TestGluedLabels:
+    """A direct chain or bouquet check labels each part ``graph(n=..,m=..)``
+    unless given the parts' labels, and writes its attach vertices after them."""
+
+    P3, C4, K4 = path_graph(3), cycle_graph(4), complete_graph(4)
+
+    def test_default_labels(self):
+        p3, c4, k4 = self.P3, self.C4, self.K4
+        assert check_chain2(p3, 1, c4, 3).instance == "chain(graph(n=3,m=2)@1,graph(n=4,m=4)@3)"
+        assert check_chain_n([(p3, 0, 2), (c4, 1, 1), (k4, 3, 0)]).instance == (
+            "chain(graph(n=3,m=2)@0:2,graph(n=4,m=4)@1:1,graph(n=4,m=6)@3:0)"
+        )
+        assert check_chain_n([(c4, 2, 0)]).instance == "chain(graph(n=4,m=4)@2:0)"
+        assert check_bouquet([(p3, 2), (c4, 0), (k4, 1)]).instance == (
+            "bouquet(graph(n=3,m=2)@2,graph(n=4,m=4)@0,graph(n=4,m=6)@1)"
+        )
+        assert check_bouquet([(k4, 3)]).instance == "bouquet(graph(n=4,m=6)@3)"
+
+    def test_given_labels(self):
+        p3, c4 = self.P3, self.C4
+        assert check_chain2(p3, 1, c4, 3, ("path(3)", "cycle(4)")).instance == "chain(path(3)@1,cycle(4)@3)"
+        assert check_chain_n([(p3, 0, 2), (c4, 1, 1)], ["a", "b"]).instance == "chain(a@0:2,b@1:1)"
+        assert check_bouquet([(p3, 2), (c4, 0)], ["a", "b"]).instance == "bouquet(a@2,b@0)"
+
+
 class TestBouquetChecks:
     def test_ids_by_part_count(self):
         p = path_graph(3)
         assert check_bouquet([(p, 0)] * 2).theorem_id == "P_bouquet2"
         assert check_bouquet([(p, 0)] * 3).theorem_id == "T_bouquet3"
         assert check_bouquet([(p, 0)] * 4).theorem_id == "C_bouquet_n"
+        assert check_bouquet([(p, 0)] * 5).theorem_id == "C_bouquet_n"
+        assert check_bouquet([(p, 0)]).theorem_id == "C_bouquet_n"
 
     def test_friendship_bouquet_lower_tight(self):
         r = check_bouquet([(friendship_graph(2), 0)] * 3)
