@@ -43,8 +43,11 @@ bouquet checks take their parts' labels, and :func:`_glued_label` spells
 their instance labels from them.
 
 The size guard is checked once, by :func:`run_harness`, before any check
-runs.  The checks and the certificate caches take no guard, so a check
-called directly solves whatever graph it is given.
+runs.  ``family_max_order`` and the random grid's ``n_max`` are held to it
+only when a check that draws the shared pool (``T1``, a vertex id,
+``P_union``) is selected; a closed form above the guard is refused by the
+plan that names it.  The checks and the certificate caches take no guard,
+so a check called directly solves whatever graph it is given.
 
 :class:`TheoremReport` and the config records :class:`RandomGrid` and
 :class:`HarnessConfig` are ``NamedTuple``s, so ``verify`` loads neither
@@ -558,45 +561,55 @@ def run_harness(cfg: HarnessConfig = DEFAULT_CONFIG) -> Tuple[List[TheoremReport
     checks, rather than a size-guard error halfway through the run.  That
     is the only guard check of a harness solve: a plan's stated order must
     be the largest it solves, which the tests pin for every identifier.
-    :func:`check_closed_forms` runs once if any closed form is selected,
-    and :func:`check_vertex` at each vertex whose degree class has a
-    selected id; each reports all its ids, and only the selected ones are
-    kept.
+    Every plan passes one filter, which keeps it under its selected ids
+    and drops it if it has none.  Only two kinds of input are left undrawn
+    when none of their ids is selected: the shared pool (the family and
+    random graphs of ``T1``, the vertex checks and ``P_union``) and each
+    glued check's parts.  ``family_max_order`` and ``n_max`` are held to
+    the guard when, and only when, the shared pool is drawn, before any of
+    it is built.  A closed-form plan carries
+    ``family_max_order`` as its order, so a closed form above the guard is
+    refused by name.  :func:`check_closed_forms` runs once if any closed
+    form is selected, and :func:`check_vertex` at each vertex whose degree
+    class has a selected id; each reports all its ids, and only the
+    selected ones are kept.
     """
     want = set(cfg.theorems)
     guard = cfg.guard
-    if cfg.family_max_order > guard:
-        raise ValueError(f"family_max_order {cfg.family_max_order} exceeds the size guard {guard}")
-    if cfg.random.count and cfg.random.n_max > guard:
-        raise ValueError(f"random grid n_max {cfg.random.n_max} exceeds the size guard {guard}")
-    # (the ids an entry reports under, the largest order it solves, its run)
+    # (the selected ids an entry reports under, the largest order it solves, its run)
     plans: List[Tuple[Sequence[str], int, Callable[[], List[TheoremReport]]]] = []
 
-    def plan(tid: str, order: int, check: Callable[..., TheoremReport], *args) -> None:
-        plans.append(((tid,), order, lambda: [check(*args)]))
+    def plan(ids: Sequence[str], order: int, run: Callable[[], List[TheoremReport]]) -> None:
+        """Keep a plan under its selected ids, and drop a plan with none."""
+        ids = [tid for tid in ids if tid in want]
+        if ids:
+            plans.append((ids, order, run))
 
-    pool_ids = {"T1", "P_union"}.union(*_VERTEX_IDS)
-    pool = family_pool(cfg.family_max_order) + random_pool(cfg.random) if want & pool_ids else []
+    def plan_one(tid: str, order: int, check: Callable[..., TheoremReport], *args) -> None:
+        plan((tid,), order, lambda: [check(*args)])
 
-    if "T1" in want:
-        for label, g in pool:
-            if g.m:
-                plan("T1", g.n, check_sandwich, g, label)
+    pool: List[Tuple[str, Graph]] = []
+    if want & {"T1", "P_union"}.union(*_VERTEX_IDS):
+        if cfg.family_max_order > guard:
+            raise ValueError(f"family_max_order {cfg.family_max_order} exceeds the size guard {guard}")
+        if cfg.random.count and cfg.random.n_max > guard:
+            raise ValueError(f"random grid n_max {cfg.random.n_max} exceeds the size guard {guard}")
+        pool = family_pool(cfg.family_max_order) + random_pool(cfg.random)
 
-    closed = [f.check_id for f in families.FAMILIES.values() if f.check_id in want]
-    if closed:
-        plans.append((closed, cfg.family_max_order, partial(check_closed_forms, cfg.family_max_order)))
+    for label, g in pool:
+        if g.m:
+            plan_one("T1", g.n, check_sandwich, g, label)
+
+    closed = [f.check_id for f in families.FAMILIES.values() if f.check_id]
+    plan(closed, cfg.family_max_order, partial(check_closed_forms, cfg.family_max_order))
 
     for label, g in [(label, g) for label, g in pool if g.n <= 10]:
         for v in range(g.n):
-            ids = [tid for tid in _VERTEX_IDS[min(g.degree(v), 2)] if tid in want]
-            if ids:
-                plans.append((ids, g.n, partial(check_vertex, g, v, label)))
+            plan(_VERTEX_IDS[min(g.degree(v), 2)], g.n, partial(check_vertex, g, v, label))
 
-    if "P_union" in want:
-        for i in range(min(cfg.union_pairs, len(pool) // 2)):
-            (l1, g1), (l2, g2) = pool[2 * i], pool[2 * i + 1]
-            plan("P_union", g1.n + g2.n, _check_union, g1, g2, f"union({l1},{l2})")
+    for i in range(min(cfg.union_pairs, len(pool) // 2)):
+        (l1, g1), (l2, g2) = pool[2 * i], pool[2 * i + 1]
+        plan_one("P_union", g1.n + g2.n, _check_union, g1, g2, f"union({l1},{l2})")
 
     # (id, check, samples, seed offset, n_max, vertex tag, the tag suffixes of
     # each part's attach vertices: x and y in a longer chain, one vertex else)
@@ -620,22 +633,17 @@ def run_harness(cfg: HarnessConfig = DEFAULT_CONFIG) -> Tuple[List[TheoremReport
                 (g, *[_pick_vertex(cfg.random.seed, f"{tag}:{i}:{end}", g.n) for end in part])
                 for (_, g), part in zip(drawn, ends)
             ]
-            plan(tid, ops._glued_order([g.n for _, g in drawn]), check, chosen, [label for label, _ in drawn])
+            plan_one(tid, ops._glued_order([g.n for _, g in drawn]), check, chosen, [label for label, _ in drawn])
 
     # Orders of the fixed witnesses: F_k has 2k+1 vertices, P_k has k.
-    if "R_odot_sharp" in want:
-        for k in range(2, 6):
-            plan("R_odot_sharp", 2 * k + 1, check_odot_sharp, k)
-    if "R_chain_sharp_upper" in want:
-        plan("R_chain_sharp_upper", ops._glued_order([3, 3]), check_chain_sharp_upper)
-    if "R_chain_sharp_lower" in want:
-        plan("R_chain_sharp_lower", ops._glued_order([9, 11]), check_chain_sharp_lower)
-    if "R_bouquet_sharp_lower" in want:
-        for k in (2, 3):
-            plan("R_bouquet_sharp_lower", ops._glued_order([5] * k), check_bouquet_sharp_lower, k)
-    if "R_bouquet_sharp_upper" in want:
-        for k in range(2, 11):
-            plan("R_bouquet_sharp_upper", ops._glued_order([2] * k), check_bouquet_sharp_upper, k)
+    for k in range(2, 6):
+        plan_one("R_odot_sharp", 2 * k + 1, check_odot_sharp, k)
+    plan_one("R_chain_sharp_upper", ops._glued_order([3, 3]), check_chain_sharp_upper)
+    plan_one("R_chain_sharp_lower", ops._glued_order([9, 11]), check_chain_sharp_lower)
+    for k in (2, 3):
+        plan_one("R_bouquet_sharp_lower", ops._glued_order([5] * k), check_bouquet_sharp_lower, k)
+    for k in range(2, 11):
+        plan_one("R_bouquet_sharp_upper", ops._glued_order([2] * k), check_bouquet_sharp_upper, k)
 
     over: Dict[str, int] = {}
     for ids, order, _ in plans:

@@ -320,6 +320,12 @@ class TestSharpness:
         assert check_bouquet_sharp_upper(k).holds
 
 
+# The ids whose checks draw the shared pool of family and random graphs,
+# and the closed-form ids, which check the family grid without drawing it.
+POOL_IDS = {"T1", "P_union"}.union(*theorems._VERTEX_IDS)
+CLOSED_FORM_IDS = {f.check_id for f in families.FAMILIES.values()} - {None}
+
+
 SMALL_CONFIG = HarnessConfig(
     theorems=("T1", "T2i", "T_chain2", "P_union", "R_odot_sharp"),
     family_max_order=8,
@@ -436,23 +442,53 @@ class TestHarness:
         # solve, so it must admit exactly the runs that solve within the
         # guard: at the largest order the check solves it runs, and one
         # below it is refused before any solve, by the plan naming the
-        # check or, for checks of the family pool, by family_max_order
+        # check or, for checks of the shared pool, by family_max_order
         solved = []
         for name in ("_sdom_cert", "_dom_cert"):
             cert = getattr(theorems, name)
             monkeypatch.setattr(theorems, name, lambda g, cert=cert: solved.append(g.n) or cert(g))
-        # family_max_order sizes the pool and the closed forms; the other
-        # checks draw neither, so it stays at 1, below every order they solve
-        pooled = {"T1", "P_union"}.union(*theorems._VERTEX_IDS, (f.check_id for f in families.FAMILIES.values()))
-        cfg = HarnessConfig(theorems=(tid,), family_max_order=6 if tid in pooled else 1, random=RandomGrid(count=0))
+        pooled = tid in POOL_IDS
+        # the checks that draw no pool run at the default family_max_order
+        # and random grid, so neither is held to the guard for them
+        cfg = HarnessConfig(theorems=(tid,))
+        if pooled:
+            cfg = cfg._replace(family_max_order=6, random=RandomGrid(count=0))
         assert run_harness(cfg)[1]["failed"] == 0
         largest = max(solved)
         assert run_harness(cfg._replace(guard=largest))[1]["failed"] == 0
         solved.clear()
-        refused = rf"{tid} \(order {largest}\)|family_max_order 6 exceeds the size guard {largest - 1}"
+        refused = rf"{tid} \(order {largest}\)"
+        if pooled:
+            refused += rf"|family_max_order 6 exceeds the size guard {largest - 1}"
         with pytest.raises(ValueError, match=refused):
             run_harness(cfg._replace(guard=largest - 1))
         assert solved == []
+
+    @pytest.mark.parametrize("config", [
+        {"theorems": ["R_odot_sharp"], "guard": 11},
+        {"theorems": ["T_chain2"], "random": {"n_max": 30}},
+    ], ids=["witness_under_guard", "glued_with_large_grid"])
+    def test_unpooled_checks_ignore_the_pool_limits(self, config):
+        # neither check draws the shared pool, so family_max_order 12 above
+        # guard 11 and n_max 30 above guard 24 do not refuse them
+        reports, summary = run_harness(config_from_dict(config))
+        assert reports and summary["failed"] == 0
+
+    @pytest.mark.parametrize("tid", sorted(POOL_IDS))
+    @pytest.mark.parametrize("changes, refused", [
+        ({"family_max_order": 9}, "family_max_order 9 exceeds the size guard 8"),
+        ({"family_max_order": 8, "random": RandomGrid(count=1, n_max=9)}, "random grid n_max 9 exceeds the size guard 8"),
+    ], ids=["family_max_order", "n_max"])
+    def test_pool_limits_refused_before_the_pool_is_drawn(self, tid, changes, refused, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(theorems, "family_pool", lambda *args: drawn.append(args) or [])
+        cfg = HarnessConfig(theorems=(tid,), guard=8, **changes)
+        with pytest.raises(ValueError, match=f"^{refused}$"):
+            run_harness(cfg)
+        assert drawn == []
+        # the spy does see a draw once the limits fit the guard
+        run_harness(cfg._replace(guard=9, random=RandomGrid(count=0)))
+        assert drawn == [(cfg.family_max_order,)]
 
     def test_report_union_values(self):
         reports, _ = run_harness(
@@ -465,10 +501,14 @@ class TestHarness:
 
     def test_sharpness_checks_draw_no_pool(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("the random pool was drawn")
+            raise AssertionError("a pool was drawn")
 
         monkeypatch.setattr(families, "gnp_random_graph", refuse)
-        cfg = HarnessConfig(theorems=tuple(t for t in ALL_THEOREM_IDS if t.startswith("R_")), random=RandomGrid(count=3000))
+        monkeypatch.setattr(theorems, "family_pool", refuse)
+        # the sharpness witnesses and the closed forms; n_max 30 is above
+        # the guard, which only a drawn pool is held to
+        ids = tuple(t for t in ALL_THEOREM_IDS if t.startswith("R_") or t in CLOSED_FORM_IDS)
+        cfg = HarnessConfig(theorems=ids, random=RandomGrid(count=3000, n_max=30))
         reports, summary = run_harness(cfg)
         assert reports and summary["failed"] == 0
         assert reports == run_harness(cfg._replace(random=RandomGrid(count=0)))[0]
