@@ -229,51 +229,32 @@ def write_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _refined_colors(g: Graph, h: Graph) -> Tuple[Tuple[int, ...], Tuple[int, ...]] | None:
-    """Joint 1-dimensional colour refinement; None when histograms diverge."""
-    cg = list(g.degree(v) for v in range(g.n))
-    ch = list(h.degree(v) for v in range(h.n))
-    for _ in range(g.n):
-        table: dict = {}
-
-        def recolor(graph: Graph, colors: List[int]) -> List[int]:
-            out = []
-            for v in range(graph.n):
-                sig = (colors[v], tuple(sorted(colors[u] for u in graph.neighbors(v))))
-                out.append(table.setdefault(sig, len(table)))
-            return out
-
-        ng, nh = recolor(g, cg), recolor(h, ch)
-        if sorted(ng) != sorted(nh):
-            return None
-        if len(set(ng)) == len(set(cg)):  # stable partition
-            return tuple(ng), tuple(nh)
-        cg, ch = ng, nh
-    return tuple(cg), tuple(ch)
+def _colors(g: Graph) -> List[Tuple[int, ...]]:
+    """One refinement round: each vertex's degree, then its neighbours' degrees ascending."""
+    deg = [a.bit_count() for a in g.adj]
+    return [(deg[v], *sorted(deg[u] for u in _members(g.adj[v]))) for v in range(g.n)]
 
 
 def is_isomorphic(g: Graph, h: Graph, max_n: int = DEFAULT_ISO_GUARD) -> bool:
     """Exact isomorphism test for small graphs.
 
-    Guarded backtracking: colour refinement prunes the candidate classes
-    (its first round colours by degree, so graphs whose degree multisets
-    differ are refused there), then vertices are matched in
-    rarest-class-first order with adjacency consistency checked against
-    the mapped prefix.  Intended for the small
-    witness graphs this toolkit deals in, not as a general canonical
-    labeller; raise ``max_n`` explicitly for slightly larger instances.
+    Guarded backtracking over one round of colour refinement: a vertex's
+    colour is its degree, then its neighbours' degrees in ascending order,
+    and graphs whose colour multisets differ are refused at once.  Then
+    vertices are matched in rarest-class-first order, each only to a vertex
+    of its own colour, with adjacency consistency checked against the
+    mapped prefix.  Intended for the small witness graphs this toolkit
+    deals in, not as a general canonical labeller; raise ``max_n``
+    explicitly for slightly larger instances.
     """
     big = max(g.n, h.n)
     if big > max_n:
         raise SizeGuardError("isomorphism test", big, max_n)
     if g.n != h.n:
         return False
-    if g.n == 0:
-        return True
-    refined = _refined_colors(g, h)
-    if refined is None:
+    cg, ch = _colors(g), _colors(h)
+    if sorted(cg) != sorted(ch):
         return False
-    cg, ch = refined
 
     class_size = {c: cg.count(c) for c in set(cg)}
     order = sorted(range(g.n), key=lambda v: (class_size[cg[v]], cg[v], v))

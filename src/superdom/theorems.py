@@ -43,10 +43,10 @@ bouquet checks take their parts' labels, and :func:`_glued_label` spells
 their instance labels from them.
 
 The size guard is checked once, by :func:`run_harness`, before any check
-runs.  ``family_max_order`` and the random grid's ``n_max`` are held to it
-only when a check that draws the shared pool (``T1``, a vertex id,
-``P_union``) is selected; a closed form above the guard is refused by the
-plan that names it.  The checks and the certificate caches take no guard,
+runs.  ``family_max_order`` and the largest n the random grid draws are
+held to it only when a check that draws the shared pool (``T1``, a vertex
+id, ``P_union``) is selected; a closed form above the guard is refused by
+the plan that names it.  The checks and the certificate caches take no guard,
 so a check called directly solves whatever graph it is given.
 
 :class:`TheoremReport` and the config records :class:`RandomGrid` and
@@ -565,13 +565,13 @@ def run_harness(cfg: HarnessConfig = DEFAULT_CONFIG) -> Tuple[List[TheoremReport
     and drops it if it has none.  Only two kinds of input are left undrawn
     when none of their ids is selected: the shared pool (the family and
     random graphs of ``T1``, the vertex checks and ``P_union``) and each
-    glued check's parts.  ``family_max_order`` and ``n_max`` are held to
-    the guard when, and only when, the shared pool is drawn, before any of
-    it is built.  A closed-form plan carries
-    ``family_max_order`` as its order, so a closed form above the guard is
-    refused by name.  :func:`check_closed_forms` runs once if any closed
-    form is selected, and :func:`check_vertex` at each vertex whose degree
-    class has a selected id; each reports all its ids, and only the
+    glued check's parts.  ``family_max_order`` and the largest n the
+    random grid draws are held to the guard when, and only when, the
+    shared pool is drawn, before any of it is built.  A closed-form plan
+    carries ``family_max_order`` as its order, so a closed form above the
+    guard is refused by name.  :func:`check_closed_forms` runs once if any
+    closed form is selected, and :func:`check_vertex` at each vertex whose
+    degree class has a selected id; each reports all its ids, and only the
     selected ones are kept.
     """
     want = set(cfg.theorems)
@@ -592,9 +592,10 @@ def run_harness(cfg: HarnessConfig = DEFAULT_CONFIG) -> Tuple[List[TheoremReport
     if want & {"T1", "P_union"}.union(*_VERTEX_IDS):
         if cfg.family_max_order > guard:
             raise ValueError(f"family_max_order {cfg.family_max_order} exceeds the size guard {guard}")
-        if cfg.random.count and cfg.random.n_max > guard:
-            raise ValueError(f"random grid n_max {cfg.random.n_max} exceeds the size guard {guard}")
-        pool = family_pool(cfg.family_max_order) + random_pool(cfg.random)
+        grid = cfg.random
+        if grid.count and min(grid.n_max, grid.n_min + grid.count - 1) > guard:  # the largest n drawn
+            raise ValueError(f"random grid n_max {grid.n_max} exceeds the size guard {guard}")
+        pool = family_pool(cfg.family_max_order) + random_pool(grid)
 
     for label, g in pool:
         if g.m:

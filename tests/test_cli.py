@@ -268,7 +268,7 @@ class TestOp:
         p2 = write_graph_file(tmp_path, "p2.el", "2 1\n0 1\n")
         assert main(["op", "bouquet", f"{p2}:0", f"{p2}:0", f"{p2}:0"]) == 0
         captured = capsys.readouterr()
-        assert is_isomorphic(read_edge_list(captured.out), star_graph(3))
+        assert read_edge_list(captured.out) == star_graph(3)
 
     def test_single_part_bouquet(self, c4, capsys):
         assert main(["op", "bouquet", f"{c4}:2"]) == 0

@@ -12,7 +12,6 @@ from superdom import (
     cycle_graph,
     friendship_graph,
     gnp_random_graph,
-    is_isomorphic,
     path_graph,
     star_graph,
 )
@@ -69,7 +68,7 @@ def test_complete_bipartite_degrees():
 
 
 def test_star_is_complete_bipartite():
-    assert is_isomorphic(star_graph(7), complete_bipartite_graph(1, 7))
+    assert star_graph(7) == complete_bipartite_graph(1, 7)
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from superdom import (
     complete_graph,
     cycle_graph,
     friendship_graph,
+    gnp_random_graph,
     is_isomorphic,
     path_graph,
     star_graph,
@@ -209,6 +210,55 @@ class TestIsomorphism:
             perm = list(range(g.n))
             random.Random(seed).shuffle(perm)
             assert is_isomorphic(g, Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
+
+    def test_equal_colours_left_to_the_search(self):
+        # every vertex has the same degree and the same neighbour degrees
+        # in both graphs, so one refinement round cannot tell them apart
+        g = Graph(8, [(0, 1), (0, 4), (0, 5), (0, 6), (1, 5), (1, 6), (1, 7), (2, 3), (2, 5), (2, 6), (2, 7), (3, 6), (4, 7), (5, 7)])
+        h = Graph(8, [(0, 4), (0, 5), (0, 6), (0, 7), (1, 4), (1, 5), (1, 6), (1, 7), (2, 3), (2, 5), (2, 6), (2, 7), (3, 6), (5, 7)])
+
+        def colours(graph):
+            return sorted((graph.degree(v), sorted(graph.degree(u) for u in graph.neighbors(v))) for v in range(graph.n))
+
+        assert colours(g) == colours(h)
+        assert not is_isomorphic(g, h)
+        perm = [5, 2, 7, 0, 3, 6, 1, 4]
+        for graph in (g, h):
+            assert is_isomorphic(graph, Graph(8, [(perm[u], perm[v]) for u, v in graph.edges()]))
+
+    def test_networkx_oracle_on_double_edge_swaps(self):
+        # a degree-preserving swap keeps the degree multiset: 485 of the
+        # 600 swapped copies are not isomorphic, and 20 of those have equal
+        # one-round colours, so the search alone refuses them
+        nx = pytest.importorskip("networkx")
+
+        def nx_graph(graph):
+            out = nx.empty_graph(graph.n)
+            out.add_edges_from(graph.edges())
+            return out
+
+        verdicts = []
+        for n, p, seed in itertools.product(range(7, 13), ("1/4", "1/2"), range(50)):
+            g = gnp_random_graph(n, p, seed)
+            rng = random.Random(seed)
+            edges, swaps = set(g.edges()), 1 + seed % 3
+            for _ in range(100):
+                if not swaps or len(edges) < 2:
+                    break
+                (a, b), (c, d) = rng.sample(sorted(edges), 2)
+                if rng.random() < 0.5:
+                    c, d = d, c
+                new = {(min(a, d), max(a, d)), (min(b, c), max(b, c))}
+                if len({a, b, c, d}) == 4 and not new & edges:
+                    edges = edges - {(a, b), (min(c, d), max(c, d))} | new
+                    swaps -= 1
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = Graph(n, [(perm[u], perm[v]) for u, v in edges])
+            verdicts.append((is_isomorphic(g, h), nx.is_isomorphic(nx_graph(g), nx_graph(h))))
+        assert len(verdicts) == 600
+        assert [got for got, _ in verdicts] == [want for _, want in verdicts]
+        assert sum(not want for _, want in verdicts) == 485
 
     def test_relabeled_graphs(self):
         g = friendship_graph(3)

@@ -33,14 +33,14 @@ from superdom.graph import MAX_ORDER
 class TestOdot:
     @pytest.mark.parametrize("k", range(1, 6))
     def test_friendship_center_becomes_star(self, k):
-        assert is_isomorphic(odot(friendship_graph(k), 0), star_graph(2 * k))
+        assert odot(friendship_graph(k), 0) == star_graph(2 * k)
 
     def test_pendant_is_identity(self):
         g = path_graph(3)
         assert odot(g, 0) == g
 
     def test_triangle_becomes_path(self):
-        assert is_isomorphic(odot(complete_graph(3), 1), path_graph(3))
+        assert odot(complete_graph(3), 1) == path_graph(3)
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
@@ -67,13 +67,13 @@ class TestOdot:
 
 class TestContract:
     def test_path_middle(self):
-        assert is_isomorphic(contract_clique(path_graph(3), 1), complete_graph(2))
+        assert contract_clique(path_graph(3), 1) == complete_graph(2)
 
     def test_cycle4(self):
-        assert is_isomorphic(contract_clique(cycle_graph(4), 0), complete_graph(3))
+        assert contract_clique(cycle_graph(4), 0) == complete_graph(3)
 
     def test_star_center(self):
-        assert is_isomorphic(contract_clique(star_graph(3), 0), complete_graph(3))
+        assert contract_clique(star_graph(3), 0) == complete_graph(3)
 
     def test_pendant_degenerates_to_deletion(self):
         g = path_graph(4)
@@ -265,7 +265,7 @@ class TestChain:
     def test_friendship_chain(self):
         res = chain([(friendship_graph(4), 0, 0), (friendship_graph(5), 0, 0)])
         assert res.graph.n == 19
-        assert is_isomorphic(res.graph, friendship_graph(9), max_n=19)
+        assert res.graph == friendship_graph(9)
 
     def test_single_part_identity(self):
         g = cycle_graph(5)
@@ -309,11 +309,11 @@ class TestChain:
 class TestBouquet:
     def test_friendship_copies(self):
         res = bouquet([(friendship_graph(2), 0), (friendship_graph(2), 0)])
-        assert is_isomorphic(res.graph, friendship_graph(4))
+        assert res.graph == friendship_graph(4)
 
     def test_edges_make_star(self):
         res = bouquet([(path_graph(2), 0)] * 4)
-        assert is_isomorphic(res.graph, star_graph(4))
+        assert res.graph == star_graph(4)
 
     def test_two_part_bouquet_equals_chain(self):
         g1, g2 = cycle_graph(4), path_graph(3)

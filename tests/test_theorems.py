@@ -474,10 +474,21 @@ class TestHarness:
         reports, summary = run_harness(config_from_dict(config))
         assert reports and summary["failed"] == 0
 
+    def test_random_grid_held_to_the_largest_n_it_draws(self):
+        # count 3 draws n 4, 5 and 6 only, so n_max 30 above guard 24 does
+        # not refuse the grid; at guard 6, count 4 reaches n 7 and is refused
+        cfg = config_from_dict({"theorems": ["T1"], "random": {"count": 3, "n_min": 4, "n_max": 30}})
+        reports, summary = run_harness(cfg)
+        assert len(reports) == 75 and summary["failed"] == 0
+        small = cfg._replace(family_max_order=6, guard=6)
+        assert run_harness(small)[1]["failed"] == 0
+        with pytest.raises(ValueError, match="^random grid n_max 30 exceeds the size guard 6$"):
+            run_harness(small._replace(random=small.random._replace(count=4)))
+
     @pytest.mark.parametrize("tid", sorted(POOL_IDS))
     @pytest.mark.parametrize("changes, refused", [
         ({"family_max_order": 9}, "family_max_order 9 exceeds the size guard 8"),
-        ({"family_max_order": 8, "random": RandomGrid(count=1, n_max=9)}, "random grid n_max 9 exceeds the size guard 8"),
+        ({"family_max_order": 8, "random": RandomGrid(count=6, n_max=9)}, "random grid n_max 9 exceeds the size guard 8"),
     ], ids=["family_max_order", "n_max"])
     def test_pool_limits_refused_before_the_pool_is_drawn(self, tid, changes, refused, monkeypatch):
         drawn = []
@@ -699,7 +710,7 @@ def test_searches_leave_nothing_for_the_cyclic_collector():
         solver.gamma_sp(g)
         solver.gamma(g)
         triangles = disjoint_union(complete_graph(3), complete_graph(3)).graph
-        assert not is_isomorphic(cycle_graph(6), triangles)  # both 2-regular: refinement leaves it to the search
+        assert not is_isomorphic(cycle_graph(6), triangles)  # both 2-regular: equal colours leave it to the search
         assert is_isomorphic(star_graph(4), star_graph(4))
         theorems.run_harness()
         assert gc.collect() == 0
